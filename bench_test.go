@@ -7,11 +7,8 @@
 package mopac
 
 import (
-	"os"
-	"strings"
 	"testing"
 
-	"mopac/internal/event"
 	"mopac/internal/mitigation"
 	"mopac/internal/security"
 	"mopac/internal/sim"
@@ -311,59 +308,26 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(simNs)/float64(b.N), "simNs/op")
 }
 
-// benchSpeculate reports whether the MOPAC_SPECULATE environment knob
-// asks the domains benchmark to run with speculative epochs. CI runs
-// the benchmark leg twice — with the knob off and on — and asserts the
-// two legs' simNs/op are byte-identical, the benchmark-level form of
-// the determinism suite's speculative-equivalence contract.
-func benchSpeculate() bool {
-	switch strings.ToLower(os.Getenv("MOPAC_SPECULATE")) {
-	case "1", "true", "on", "yes":
-		return true
-	}
-	return false
-}
-
 // BenchmarkSimulatorThroughputDomains is BenchmarkSimulatorThroughput
 // on the sharded event engine (one domain per subchannel plus one for
 // the core complex). simNs/op must equal the serial benchmark's exactly
 // — the sharded schedule is byte-identical by construction — while
 // ns/op measures what intra-run parallelism buys on this machine (on a
 // single-core runner it measures the barrier overhead instead).
-//
-// With MOPAC_SPECULATE set the engine runs speculative (Time-Warp-lite)
-// epochs, and the benchmark additionally reports the speculation
-// economics: stretches attempted and committed per run, and the
-// rollback rate. simNs/op must not move — speculation changes wall
-// time, never results.
 func BenchmarkSimulatorThroughputDomains(b *testing.B) {
 	b.ReportAllocs()
-	speculate := benchSpeculate()
 	var simNs int64
-	var st event.SpecStats
 	for i := 0; i < b.N; i++ {
-		sys, err := sim.NewSystem(Config{
+		res, err := Simulate(Config{
 			Design: Baseline, Workload: "bwaves", InstrPerCore: 100_000, Seed: uint64(i + 1),
-			Domains: 3, Speculate: speculate,
+			Domains: 3,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sys.Run(0)
-		if err != nil {
-			b.Fatal(err)
-		}
 		simNs += res.TimeNs
-		run := sys.SpecStats()
-		st.Speculated += run.Speculated
-		st.Committed += run.Committed
-		st.RolledBack += run.RolledBack
 	}
 	b.ReportMetric(float64(simNs)/float64(b.N), "simNs/op")
-	b.ReportMetric(float64(st.Speculated)/float64(b.N), "epochs_speculated")
-	b.ReportMetric(float64(st.Committed)/float64(b.N), "epochs_committed")
-	rate := float64(st.RolledBack) / float64(max(st.Speculated, 1))
-	b.ReportMetric(rate, "rollback_rate")
 }
 
 // BenchmarkHammerThroughput measures attack-mode simulation speed: the

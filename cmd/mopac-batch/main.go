@@ -46,7 +46,6 @@ func main() {
 		// serial execution buys nothing but wall-clock time.
 		jobs     = flag.Int("j", 0, "runs to execute in parallel (0 = GOMAXPROCS/domains)")
 		domains  = flag.Int("domains", 0, "intra-run parallel event domains per run (0/1 = serial; results are identical)")
-		spec     = flag.Bool("speculate", false, "with -domains >= 2, run domains speculatively past epoch barriers (results are identical)")
 		storeDir = flag.String("store", "", "result store directory (default: user cache dir, e.g. ~/.cache/mopac)")
 		noStore  = flag.Bool("no-store", false, "disable the persistent result store")
 		initEx   = flag.Bool("init", false, "print an example configuration and exit")
@@ -149,7 +148,6 @@ func main() {
 	service.ForEach(sim.ConcurrencyBudget(*jobs, *domains), len(exps), func(i int) {
 		e := exps[i]
 		e.Config.Domains = *domains
-		e.Config.Speculate = *spec
 		start := time.Now()
 		storable := st != nil && !e.Config.TrackSecurity && e.Config.CommandLogDepth == 0
 		key := ""

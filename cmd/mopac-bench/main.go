@@ -41,25 +41,17 @@ type Entry struct {
 // Benchmarks so -against never mistakes an improving ratio for a
 // regressing metric.
 type Report struct {
-	Goos            string  `json:"goos,omitempty"`
-	Goarch          string  `json:"goarch,omitempty"`
-	CPU             string  `json:"cpu,omitempty"`
-	GoMaxProcs      int     `json:"gomaxprocs,omitempty"`
-	NumCPU          int     `json:"num_cpu,omitempty"`
-	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
-	// Speculation economics, lifted from the sharded throughput
-	// benchmark when it ran with MOPAC_SPECULATE: stretches attempted
-	// and committed per run, and the rollback rate. Zero (omitted)
-	// on conservative legs.
-	EpochsSpeculated float64          `json:"epochs_speculated,omitempty"`
-	EpochsCommitted  float64          `json:"epochs_committed,omitempty"`
-	RollbackRate     float64          `json:"rollback_rate,omitempty"`
-	Benchmarks       map[string]Entry `json:"benchmarks"`
+	Goos            string           `json:"goos,omitempty"`
+	Goarch          string           `json:"goarch,omitempty"`
+	CPU             string           `json:"cpu,omitempty"`
+	GoMaxProcs      int              `json:"gomaxprocs,omitempty"`
+	NumCPU          int              `json:"num_cpu,omitempty"`
+	ParallelSpeedup float64          `json:"parallel_speedup,omitempty"`
+	Benchmarks      map[string]Entry `json:"benchmarks"`
 }
 
 // annotate fills the host-parallelism fields and derives
-// ParallelSpeedup (serial-over-sharded ns/op) plus the speculation
-// counters from the throughput benchmarks.
+// ParallelSpeedup from the serial and sharded throughput benchmarks.
 func (rep *Report) annotate() {
 	rep.GoMaxProcs = runtime.GOMAXPROCS(0)
 	rep.NumCPU = runtime.NumCPU()
@@ -70,11 +62,6 @@ func (rep *Report) annotate() {
 		if s > 0 && d > 0 {
 			rep.ParallelSpeedup = s / d
 		}
-	}
-	if ok2 {
-		rep.EpochsSpeculated = domains.Metrics["epochs_speculated"]
-		rep.EpochsCommitted = domains.Metrics["epochs_committed"]
-		rep.RollbackRate = domains.Metrics["rollback_rate"]
 	}
 }
 

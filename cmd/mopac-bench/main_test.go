@@ -91,18 +91,4 @@ func TestAnnotate(t *testing.T) {
 	if got := rep.ParallelSpeedup; got < 1.49 || got > 1.51 {
 		t.Fatalf("parallel speedup = %v, want 1.5", got)
 	}
-	if rep.EpochsSpeculated != 0 || rep.RollbackRate != 0 {
-		t.Fatalf("conservative leg grew speculation stats: %+v", rep)
-	}
-
-	spec := Report{Benchmarks: map[string]Entry{
-		"BenchmarkSimulatorThroughputDomains": {Metrics: map[string]float64{
-			"ns/op": 40e6, "epochs_speculated": 120, "epochs_committed": 90,
-			"rollback_rate": 0.25,
-		}},
-	}}
-	spec.annotate()
-	if spec.EpochsSpeculated != 120 || spec.EpochsCommitted != 90 || spec.RollbackRate != 0.25 {
-		t.Fatalf("speculation stats not lifted into the report: %+v", spec)
-	}
 }

@@ -53,7 +53,6 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		workers  = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS/domains)")
 		domains  = flag.Int("domains", 0, "intra-run parallel event domains per job (0/1 = serial; results are identical)")
-		spec     = flag.Bool("speculate", false, "with -domains >= 2, run each job's domains speculatively past epoch barriers (results are identical)")
 		queue    = flag.Int("queue", 64, "queued-job capacity before 429s")
 		cache    = flag.Int("cache", 256, "result-cache entries")
 		storeDir = flag.String("store", "", "result store directory (default: user cache dir, e.g. ~/.cache/mopac)")
@@ -99,7 +98,7 @@ func main() {
 			*coordinator = ""
 		}
 		runService(logger, serviceConfig{
-			addr: *addr, workers: *workers, domains: *domains, speculate: *spec, queue: *queue,
+			addr: *addr, workers: *workers, domains: *domains, queue: *queue,
 			cache: *cache, storeDir: *storeDir, noStore: *noStore, drain: *drain,
 			coordinator: *coordinator, advertise: *advertise, workerID: *workerID,
 			heartbeat: *heartbeat, remoteStore: *remoteStore, remoteTimeout: *remoteTmo,
@@ -172,7 +171,7 @@ func runCoordinator(logger *slog.Logger, addr, storeDir string, noStore bool,
 type serviceConfig struct {
 	addr, storeDir                   string
 	workers, domains, queue, cache   int
-	noStore, speculate               bool
+	noStore                          bool
 	drain                            time.Duration
 	coordinator, advertise, workerID string
 	heartbeat, remoteTimeout         time.Duration
@@ -231,7 +230,6 @@ func runService(logger *slog.Logger, cfg serviceConfig) {
 	srv := service.New(service.Options{
 		Workers:   cfg.workers,
 		Domains:   cfg.domains,
-		Speculate: cfg.speculate,
 		Queue:     cfg.queue,
 		CacheSize: cfg.cache,
 		Store:     disk,

@@ -62,10 +62,6 @@ type Options struct {
 	// parallelism share one machine budget. Like Workers it changes
 	// wall time only, never the report.
 	Domains int
-	// Speculate, with Domains >= 2, runs each evaluation's domains
-	// speculatively past epoch barriers. Wall time only, never the
-	// report.
-	Speculate bool
 	// Store, when non-nil, persists evaluations under
 	// sim.AttackStoreSchema so repeated and warm searches skip
 	// re-simulation.
@@ -163,7 +159,6 @@ func Search(opt Options) (*Report, sim.PlanStats, error) {
 	planner := sim.NewPlanner(opt.Workers)
 	if opt.Domains >= 2 {
 		planner.SetDomains(opt.Domains)
-		planner.SetSpeculate(opt.Speculate)
 	}
 	if opt.Store != nil {
 		planner.SetAttackStore(opt.Store)

@@ -144,15 +144,6 @@ type Core struct {
 	freeMiss []*miss // recycled window entries
 
 	stats Stats
-
-	// Speculation support (see checkpoint.go). While specArmed, retired
-	// misses defer to specFreed instead of the free list: the
-	// checkpoint holds live-miss values by pointer, and a pool reuse
-	// inside the stretch must not be able to overwrite a free-list slot
-	// the rollback needs to recover.
-	specArmed bool
-	specFreed []*miss
-	ck        coreCk
 }
 
 // newMiss returns a zeroed pooled miss bound to this core.
@@ -166,13 +157,6 @@ func (c *Core) newMiss() *miss {
 }
 
 func (c *Core) recycleMiss(m *miss) {
-	if c.specArmed {
-		// Deferred: not zeroed (the checkpoint may hold this miss's
-		// pre-stretch value via the same pointer) and not pooled (see
-		// the specFreed field comment). Commit finalizes, Restore drops.
-		c.specFreed = append(c.specFreed, m)
-		return
-	}
 	*m = miss{core: c}
 	c.freeMiss = append(c.freeMiss, m)
 }

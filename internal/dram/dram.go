@@ -133,9 +133,6 @@ type Device struct {
 	trc *telemetry.DeviceTracks
 
 	stats Stats
-
-	ck  deviceCk       // speculation snapshot (see checkpoint.go)
-	ckg []Checkpointer // cached guards participating in speculation
 }
 
 // Stats counts device-level events.

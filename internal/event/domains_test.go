@@ -236,156 +236,18 @@ func TestDomainsMatchSerialCascade(t *testing.T) {
 	if serialFired < 100 {
 		t.Fatalf("cascade too small to be meaningful: %d events", serialFired)
 	}
-	diffCompare(t, serial, sharded)
-	if eng.Now() != ds.Now() {
-		t.Fatalf("final clocks differ: serial %d, sharded %d", eng.Now(), ds.Now())
-	}
-}
-
-func diffCompare(t *testing.T, serial, other []*diffDom) {
-	t.Helper()
 	for i := range serial {
-		sl, pl := serial[i].log, other[i].log
+		sl, pl := serial[i].log, sharded[i].log
 		if len(sl) != len(pl) {
-			t.Fatalf("domain %d: serial logged %d events, other %d", i, len(sl), len(pl))
+			t.Fatalf("domain %d: serial logged %d events, sharded %d", i, len(sl), len(pl))
 		}
 		for j := range sl {
 			if sl[j] != pl[j] {
-				t.Fatalf("domain %d event %d: serial %+v, other %+v", i, j, sl[j], pl[j])
+				t.Fatalf("domain %d event %d: serial %+v, sharded %+v", i, j, sl[j], pl[j])
 			}
 		}
 	}
-}
-
-// diffCk is the cascade's Checkpointable: the only handler state is the
-// per-domain append-only log, so a snapshot is its length and a rewind
-// is truncation. The checkpoint/restore/commit counters let tests pin
-// the pairing discipline (every Checkpoint meets exactly one Restore
-// or Commit).
-type diffCk struct {
-	d                              *diffDom
-	len                            int
-	checkpoints, restores, commits int
-}
-
-func (c *diffCk) Checkpoint() { c.len = len(c.d.log); c.checkpoints++ }
-func (c *diffCk) Restore()    { c.d.log = c.d.log[:c.len]; c.restores++ }
-func (c *diffCk) Commit()     { c.commits++ }
-
-// TestDomainsMatchSerialCascadeSpeculative replays the differential
-// cascade on a speculation-enabled engine: domains run optimistically
-// past every barrier, roll back whenever a ring send lands inside a
-// stretch, and the logs must still come out identical to the serial
-// engine's — the event-layer form of the byte-identity contract. The
-// nil publish/horizon callbacks exercise the default start+lookahead
-// bound, the narrowest (most rollback-prone) window.
-func TestDomainsMatchSerialCascadeSpeculative(t *testing.T) {
-	eng := NewEngine()
-	serial := make([]*diffDom, diffDomains)
-	for i := range serial {
-		serial[i] = &diffDom{id: int64(i), s: eng}
-	}
-	for i, d := range serial {
-		d.next = serial[(i+1)%diffDomains]
-		d.send = func(from *diffDom, delay int64, arg int64) {
-			eng.Send(int(from.id), delay, diffHop, from.next, arg)
-		}
-	}
-	diffSeed(serial)
-	serialFired := drainSerialEpochs(eng, diffLookahead)
-
-	ds := NewDomains(diffDomains, diffLookahead)
-	defer ds.Shutdown()
-	ds.EnableSpeculation(nil, nil)
-	spec := make([]*diffDom, diffDomains)
-	cks := make([]*diffCk, diffDomains)
-	for i := range spec {
-		spec[i] = &diffDom{id: int64(i), s: ds.Domain(i)}
-		cks[i] = &diffCk{d: spec[i]}
-		ds.Domain(i).Attach(cks[i])
-	}
-	for i, d := range spec {
-		d.next = spec[(i+1)%diffDomains]
-		d.send = func(from *diffDom, delay int64, arg int64) {
-			ds.Domain(int(from.id)).Send(int32(from.next.id), delay, diffHop, from.next, arg)
-		}
-	}
-	diffSeed(spec)
-	specFired := drainDomains(ds)
-
-	if serialFired != specFired {
-		t.Fatalf("serial fired %d events, speculative %d", serialFired, specFired)
-	}
-	diffCompare(t, serial, spec)
 	if eng.Now() != ds.Now() {
-		t.Fatalf("final clocks differ: serial %d, speculative %d", eng.Now(), ds.Now())
-	}
-	st := ds.SpecStats()
-	if st.Speculated == 0 {
-		t.Fatal("cascade never speculated")
-	}
-	if st.Committed+st.RolledBack != st.Speculated {
-		t.Fatalf("stretch accounting off: %+v", st)
-	}
-	// The ring topology guarantees cross traffic, so some stretches
-	// must have been hit and rewound.
-	if st.RolledBack == 0 {
-		t.Fatalf("ring cascade produced no rollbacks: %+v", st)
-	}
-	var ck, rs, cm int
-	for _, c := range cks {
-		ck += c.checkpoints
-		rs += c.restores
-		cm += c.commits
-	}
-	if ck == 0 {
-		t.Fatal("no component checkpoints were taken")
-	}
-	if rs+cm != ck {
-		t.Fatalf("checkpoint pairing broken: %d checkpoints, %d restores + %d commits", ck, rs, cm)
-	}
-}
-
-// TestDomainsSpeculativeInterrupt: interrupting a speculative engine
-// must discard the in-flight stretch on Shutdown without firing
-// anything optimistic into component state — the log lengths still
-// reflect only committed barriers, and the engine keeps its
-// accounting invariant.
-func TestDomainsSpeculativeInterrupt(t *testing.T) {
-	ds := NewDomains(diffDomains, diffLookahead)
-	defer ds.Shutdown()
-	ds.EnableSpeculation(nil, nil)
-	spec := make([]*diffDom, diffDomains)
-	for i := range spec {
-		spec[i] = &diffDom{id: int64(i), s: ds.Domain(i)}
-		d := spec[i]
-		ds.Domain(i).Attach(&diffCk{d: d})
-	}
-	for i, d := range spec {
-		d.next = spec[(i+1)%diffDomains]
-		d.send = func(from *diffDom, delay int64, arg int64) {
-			ds.Domain(int(from.id)).Send(int32(from.next.id), delay, diffHop, from.next, arg)
-		}
-	}
-	diffSeed(spec)
-	for i := 0; i < 20; i++ {
-		if _, ok := ds.RunEpoch(); !ok {
-			t.Fatal("cascade drained before the interrupt")
-		}
-	}
-	ds.Interrupt()
-	ds.Shutdown()
-	st := ds.SpecStats()
-	if st.Committed+st.RolledBack != st.Speculated {
-		t.Fatalf("stretch accounting off after interrupt: %+v", st)
-	}
-	// Every logged event is at or below the engine clock: nothing
-	// optimistic leaked past the last settled barrier.
-	for i, d := range spec {
-		for _, rec := range d.log {
-			if rec.at > ds.Now() {
-				t.Fatalf("domain %d: speculative event at %d leaked past barrier %d", i, rec.at, ds.Now())
-			}
-		}
+		t.Fatalf("final clocks differ: serial %d, sharded %d", eng.Now(), ds.Now())
 	}
 }

@@ -134,8 +134,8 @@ type Controller struct {
 	dev *dram.Device
 	cfg Config
 	// pcg is embedded by value and wrapped by rng (rand.Rand holds no
-	// state of its own), so the generator participates in speculative
-	// checkpoint/rollback as a plain scalar copy.
+	// state of its own), so the stream lives in the controller rather
+	// than in a separate rand.NewPCG heap object.
 	pcg rand.PCG
 	rng *rand.Rand
 
@@ -212,8 +212,6 @@ type Controller struct {
 
 	stats   Stats
 	latency stats.Histogram
-
-	ck ctlCk // speculation snapshot (see Checkpoint)
 }
 
 // bankQ is one bank's request queue in struct-of-arrays layout. The

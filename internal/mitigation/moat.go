@@ -82,8 +82,6 @@ type MOAT struct {
 	trackedCnt int
 	alert      bool
 	stats      MOATStats
-	undo       ctrUndo
-	ck         moatCk
 }
 
 var _ dram.BankGuard = (*MOAT)(nil)
@@ -128,7 +126,6 @@ func (m *MOAT) PrechargeClose(_ int64, row int, _ int64, counterUpdate bool) {
 
 func (m *MOAT) bump(row, by int) {
 	c := m.counters[row] + by
-	m.undo.note(m.counters, row)
 	m.counters[row] = c
 	if c > m.trackedCnt {
 		m.trackedRow, m.trackedCnt = row, c
@@ -168,14 +165,12 @@ func (m *MOAT) ABOAction(now int64) []dram.Mitigation {
 // refresh activates it (footnote 5 of the paper).
 func (m *MOAT) mitigate(row int) {
 	m.stats.Mitigations++
-	m.undo.note(m.counters, row)
 	delete(m.counters, row)
 	for d := 1; d <= m.cfg.BlastRadius; d++ {
 		for _, v := range [2]int{row - d, row + d} {
 			if v < 0 || (m.cfg.Rows > 0 && v >= m.cfg.Rows) {
 				continue
 			}
-			m.undo.note(m.counters, v)
 			m.counters[v]++
 			if m.counters[v] > m.trackedCnt && v != row {
 				// Victim increments participate in tracking like any

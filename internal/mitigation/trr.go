@@ -34,7 +34,6 @@ type TRR struct {
 	entries []trrEntry
 	refs    int
 	stats   TRRStats
-	ck      trrCk
 }
 
 // TRRStats counts tracker events.

@@ -31,11 +31,6 @@ type Options struct {
 	// When Workers is unset the pool shrinks to GOMAXPROCS/Domains, so
 	// the two parallelism layers share one machine budget.
 	Domains int
-	// Speculate, with Domains >= 2, runs each job's domains
-	// speculatively past epoch barriers. Results stay byte-identical;
-	// the knob is server-side only (Speculate is not part of the job
-	// schema or the cache key).
-	Speculate bool
 	// CacheSize bounds the result cache (<= 0 selects 256).
 	CacheSize int
 	// Store, when non-nil, is a persistent second tier behind the
@@ -49,12 +44,11 @@ type Options struct {
 // Server is the simulation service: it owns the worker pool, job
 // table, result cache, and metrics, and serves the /v1 JSON API.
 type Server struct {
-	pool      *Pool
-	cache     *Cache
-	metrics   *Metrics
-	log       *slog.Logger
-	domains   int
-	speculate bool
+	pool    *Pool
+	cache   *Cache
+	metrics *Metrics
+	log     *slog.Logger
+	domains int
 
 	rootCtx    context.Context
 	rootCancel context.CancelCauseFunc
@@ -90,7 +84,6 @@ func New(opts Options) *Server {
 		metrics:    NewMetrics(),
 		log:        log,
 		domains:    opts.Domains,
-		speculate:  opts.Speculate,
 		rootCtx:    ctx,
 		rootCancel: cancel,
 		jobs:       make(map[string]*Job),
@@ -325,9 +318,6 @@ func (s *Server) run(job *Job, ctx context.Context, cancel context.CancelCauseFu
 	cfg := job.Config
 	if cfg.Domains == 0 {
 		cfg.Domains = s.domains
-	}
-	if s.speculate {
-		cfg.Speculate = true
 	}
 	var tracer *telemetry.Tracer
 	if job.TraceWanted {

@@ -3,59 +3,93 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 )
 
-// TestRunContextCancelMidFlight aborts a long run and checks it returns
-// promptly with the sentinel error and leaks no goroutines.
+// TestRunContextCancelMidFlight aborts a long run, serial and sharded,
+// and checks it returns promptly with the sentinel error and leaks no
+// goroutines (the sharded engine's epoch workers included).
 func TestRunContextCancelMidFlight(t *testing.T) {
-	before := runtime.NumGoroutine()
+	for _, domains := range []int{0, 3} {
+		t.Run(fmt.Sprintf("domains=%d", domains), func(t *testing.T) {
+			before := runtime.NumGoroutine()
 
-	sys, err := NewSystem(Config{
-		Design: DesignMoPACD, TRH: 500, Workload: "lbm",
-		InstrPerCore: 200_000_000, Seed: 1, // far longer than the test runs
-	})
+			sys, err := NewSystem(Config{
+				Design: DesignMoPACD, TRH: 500, Workload: "lbm",
+				InstrPerCore: 200_000_000, Seed: 1, // far longer than the test runs
+				Domains: domains,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				_, err := sys.RunContext(ctx, 0)
+				done <- err
+			}()
+			time.Sleep(50 * time.Millisecond) // let the run get mid-flight
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrCanceled) {
+					t.Fatalf("RunContext error = %v, want ErrCanceled", err)
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("RunContext error = %v, want wrapped context.Canceled", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("cancelled run did not return within 5 s")
+			}
+
+			// The run goroutine must be gone; allow the scheduler a moment.
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				runtime.GC()
+				if runtime.NumGoroutine() <= before {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutine leak: %d before, %d after cancel", before, runtime.NumGoroutine())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestRunContextCapThenResume stops a sharded run at a time cap and
+// resumes it: the workers are released at the cap and restarted by the
+// second run, which must finish exactly where an uninterrupted serial
+// run does.
+func TestRunContextCapThenResume(t *testing.T) {
+	cfg := Config{
+		Design:       DesignBaseline,
+		Workload:     "bwaves",
+		Cores:        2,
+		InstrPerCore: 30_000,
+		Seed:         7,
+		Domains:      3,
+	}
+	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	type outcome struct {
-		err     error
-		elapsed time.Duration
+	if _, err := sys.RunContext(context.Background(), 1000); err == nil {
+		t.Fatal("1 µs cap should not complete 30k instructions")
 	}
-	done := make(chan outcome, 1)
-	start := time.Now()
-	go func() {
-		_, err := sys.RunContext(ctx, 0)
-		done <- outcome{err, time.Since(start)}
-	}()
-	time.Sleep(50 * time.Millisecond) // let the run get mid-flight
-	cancel()
-	select {
-	case out := <-done:
-		if !errors.Is(out.err, ErrCanceled) {
-			t.Fatalf("RunContext error = %v, want ErrCanceled", out.err)
-		}
-		if !errors.Is(out.err, context.Canceled) {
-			t.Fatalf("RunContext error = %v, want wrapped context.Canceled", out.err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled run did not return within 5 s")
+	res, err := sys.RunContext(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// The run goroutine must be gone; allow the scheduler a moment.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak: %d before, %d after cancel", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
+	serial := cfg
+	serial.Domains = 0
+	serialRes, _ := runFull(t, serial)
+	if res.TimeNs != serialRes.TimeNs {
+		t.Fatalf("resumed sharded run finished at %d ns, serial at %d ns", res.TimeNs, serialRes.TimeNs)
 	}
 }
 

@@ -27,10 +27,6 @@ type Scale struct {
 	// shards onto (0 or 1 = serial engine). Results are byte-identical
 	// either way; only wall-clock shape changes.
 	Domains int
-	// Speculate, with Domains >= 2, runs each simulation's domains
-	// speculatively past epoch barriers (checkpoint/rollback). Like
-	// Domains it only changes wall-clock shape, never results.
-	Speculate bool
 }
 
 // DefaultScale returns the configuration used to generate
@@ -87,7 +83,6 @@ func NewRunner(sc Scale) *Runner {
 	}
 	plan := NewPlanner(sc.Parallel)
 	plan.SetDomains(sc.Domains)
-	plan.SetSpeculate(sc.Speculate)
 	return &Runner{scale: sc, plan: plan}
 }
 

@@ -94,7 +94,6 @@ func ConcurrencyBudget(workers, domains int) int {
 type Planner struct {
 	workers     int
 	domains     int
-	speculate   bool
 	store       ResultStore
 	attackStore ResultStore
 
@@ -133,18 +132,6 @@ func NewPlanner(workers int) *Planner {
 func (p *Planner) SetDomains(n int) {
 	p.mu.Lock()
 	p.domains = n
-	p.mu.Unlock()
-}
-
-// SetSpeculate makes every sharded simulation the planner executes run
-// its domains speculatively past epoch barriers (Config.Speculate).
-// Like SetDomains it never changes results or keys — the speculative
-// engine is byte-identical to the conservative one — only wall-clock
-// shape. Inert for runs that end up on the serial engine. Call before
-// the first Flush.
-func (p *Planner) SetSpeculate(on bool) {
-	p.mu.Lock()
-	p.speculate = on
 	p.mu.Unlock()
 }
 
@@ -235,7 +222,6 @@ func (p *Planner) Flush() error {
 	store := p.store
 	attackStore := p.attackStore
 	domains := p.domains
-	speculate := p.speculate
 	p.mu.Unlock()
 	if len(keys) == 0 {
 		return nil
@@ -271,9 +257,6 @@ func (p *Planner) Flush() error {
 				p.mu.Unlock()
 				if domains != 0 && cfg.Domains == 0 {
 					cfg.Domains = domains
-				}
-				if speculate {
-					cfg.Speculate = true
 				}
 				if ctx.Err() != nil {
 					// Fail-fast drain: everything after the first error is

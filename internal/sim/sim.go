@@ -151,18 +151,6 @@ type Config struct {
 	// setting is ignored — only for coreless systems (external drivers
 	// step the Engine manually).
 	Domains int `json:"-"`
-	// Speculate switches the sharded engine to speculative
-	// (Time-Warp-lite) epochs: each domain checkpoints at the barrier
-	// and keeps executing optimistically while the coordinator sizes
-	// the next epoch from worker-published state, rolling back only
-	// the domains an injected cross-domain message actually reaches
-	// (see internal/event.Domains.EnableSpeculation and DESIGN.md
-	// §4e). Like Domains it changes wall time, never results — the
-	// speculative schedule is byte-identical to the serial engine's —
-	// so it is likewise excluded from Hash() and the persisted
-	// encoding. Ignored unless the run shards (Domains >= 2 with a
-	// workload).
-	Speculate bool `json:"-"`
 }
 
 func (c *Config) setDefaults() {
@@ -267,9 +255,9 @@ type System struct {
 	// the disjoint shards deterministically.
 	oracles []*oracle.Oracle
 	wstats  []*WorkloadStats // one shard per subchannel (domain-local)
-	tparams   timing.Params
-	freeTxn   []*txn // recycled completion contexts (core-domain-owned)
-	running   int    // cores that have not yet retired their target
+	tparams timing.Params
+	freeTxn []*txn // recycled completion contexts (core-domain-owned)
+	running int    // cores that have not yet retired their target
 
 	// Adaptive-horizon state (see horizonBound): per-subchannel queues
 	// of pending frontend-hop delivery instants, and the controllers'
@@ -282,16 +270,6 @@ type System struct {
 	arrQ   []timeQ
 	delivQ []timeQ
 	gap    int64
-
-	// Speculation state (Config.Speculate; see speculate.go). slots is
-	// the worker-published horizon input; specArmed marks an in-flight
-	// core-domain stretch (txnDeliver then defers recycling onto
-	// specTxns); coreBuf quarantines core-view telemetry when tracing.
-	specOn    bool
-	specArmed bool
-	specTxns  []*txn
-	slots     specSlots
-	coreBuf   *telemetry.SpecBuffer
 }
 
 // timeQ is a FIFO of future event instants. Hop events are scheduled
@@ -440,20 +418,6 @@ func NewSystem(c Config) (*System, error) {
 		}
 		s.coreSched = s.dom.Domain(geo.Subchannels)
 		s.dom.SetHorizon(s.horizonBound)
-		if c.Speculate {
-			s.specOn = true
-			s.slots.arr = make([]int64, geo.Subchannels)
-			s.slots.send = make([]int64, geo.Subchannels)
-			s.slots.deliv = make([]int64, geo.Subchannels)
-			s.slots.tick = make([]int64, geo.Subchannels)
-			s.dom.EnableSpeculation(s.specPublish, s.specHorizonBound)
-			coreDom := s.dom.Domain(geo.Subchannels)
-			coreDom.Attach(&specCoreState{s: s})
-			if c.Trace != nil {
-				s.coreBuf = telemetry.NewSpecBuffer(c.Trace)
-				coreDom.Attach(s.coreBuf)
-			}
-		}
 	} else {
 		s.eng = event.NewEngine()
 		for i := range subSched {
@@ -554,15 +518,6 @@ func NewSystem(c Config) (*System, error) {
 		if s.oracles != nil {
 			obs = MultiObserver(shard, s.oracles[sub])
 		}
-		// Under speculation the stats/oracle sinks are fed through a
-		// journal (commit replays, rollback discards) instead of being
-		// checkpointed — their aggregate state is too big to snapshot
-		// per stretch.
-		var specObs *specObserver
-		if s.specOn {
-			specObs = &specObserver{inner: obs}
-			obs = specObs
-		}
 		dev, derr := dram.NewDevice(dram.Config{
 			Banks:    geo.Banks,
 			Rows:     geo.Rows,
@@ -585,20 +540,6 @@ func NewSystem(c Config) (*System, error) {
 		}
 		s.devs = append(s.devs, dev)
 		s.ctrls = append(s.ctrls, ctl)
-		if s.specOn {
-			d := s.dom.Domain(sub)
-			d.Attach(ctl)
-			d.Attach(dev)
-			d.Attach(specObs)
-			d.Attach(&specSubState{s: s, sub: sub})
-			if c.Trace != nil {
-				buf := telemetry.NewSpecBuffer(c.Trace)
-				devTrc.SetEmitter(buf)
-				mcTrc.SetEmitter(buf)
-				gTrc.SetEmitter(buf)
-				d.Attach(buf)
-			}
-		}
 	}
 	// All controllers share one timing set, so one gap serves them all.
 	s.gap = s.ctrls[0].MinSchedGap()
@@ -674,9 +615,6 @@ func (s *System) AttachCore(src cpu.Source, targetInstr int64) (*cpu.Core, error
 	if err != nil {
 		return nil, err
 	}
-	if err := s.attachSpecCore(core, src); err != nil {
-		return nil, err
-	}
 	s.cores = append(s.cores, core)
 	s.running++
 	return core, nil
@@ -688,29 +626,7 @@ func (s *System) coreTrack() *telemetry.CoreTracks {
 	if s.cfg.Trace == nil {
 		return nil
 	}
-	ct := s.cfg.Trace.Core(fmt.Sprintf("core%d", len(s.cores)))
-	if s.coreBuf != nil {
-		ct.SetEmitter(s.coreBuf)
-	}
-	return ct
-}
-
-// attachSpecCore registers a new core and its access source with the
-// core domain's checkpoint set. Sources must be rewindable — every
-// shipped source (workload generators, attack patterns) is; externally
-// attached ones that are not must run without speculation.
-func (s *System) attachSpecCore(core *cpu.Core, src cpu.Source) error {
-	if !s.specOn {
-		return nil
-	}
-	ck, ok := src.(event.Checkpointable)
-	if !ok {
-		return fmt.Errorf("sim: source %T is not checkpointable; disable Speculate to attach it", src)
-	}
-	d := s.dom.Domain(int(s.coreDomID))
-	d.Attach(core)
-	d.Attach(ck)
-	return nil
+	return s.cfg.Trace.Core(fmt.Sprintf("core%d", len(s.cores)))
 }
 
 // coreFinished keeps the running-core count that lets the run loop test
@@ -728,9 +644,6 @@ func (s *System) addCore(src cpu.Source) error {
 		Trace:       s.coreTrack(),
 	}, src)
 	if err != nil {
-		return err
-	}
-	if err := s.attachSpecCore(core, src); err != nil {
 		return err
 	}
 	s.cores = append(s.cores, core)
@@ -791,20 +704,10 @@ func txnCompleteDom(ctx any, doneAt int64) {
 }
 
 // txnDeliver hands the completed access back to its submitter and
-// recycles the txn. It always runs in the core domain. During a
-// speculative stretch the txn's fields stay intact and recycling is
-// deferred onto specTxns: a rollback restores the pending txnDeliver
-// event, and its replay needs the context whole (a commit recycles
-// the parked txns in delivery order — see specCoreState).
+// recycles the txn. It always runs in the core domain.
 func txnDeliver(ctx any, at int64) {
 	t := ctx.(*txn)
-	s := t.sys
-	if s.specArmed {
-		s.specTxns = append(s.specTxns, t)
-		t.done(t.ctx, at)
-		return
-	}
-	done, dctx := t.done, t.ctx
+	s, done, dctx := t.sys, t.done, t.ctx
 	t.done, t.ctx = nil, nil
 	s.freeTxn = append(s.freeTxn, t)
 	done(dctx, at)
@@ -1051,7 +954,7 @@ func (s *System) RunContext(ctx context.Context, maxNs int64) (Result, error) {
 	steps := 0
 	if s.dom != nil {
 		defer s.dom.Shutdown()
-		for s.liveCores() > 0 {
+		for s.running > 0 {
 			at, ok := s.dom.NextAt()
 			if !ok || at >= maxNs {
 				break
@@ -1064,12 +967,6 @@ func (s *System) RunContext(ctx context.Context, maxNs int64) (Result, error) {
 				}
 			}
 		}
-		// Park the workers and discard any in-flight speculative
-		// stretch before reading component state: the cap check and
-		// collect() below walk cores and controllers, which a
-		// speculating worker may still be mutating. The deferred
-		// Shutdown then no-ops.
-		s.dom.Shutdown()
 	} else {
 		for s.running > 0 {
 			at, ok := s.eng.NextAt()

@@ -6,34 +6,11 @@ import "fmt"
 // per-event path is a method call on a concrete pointer plus one ring
 // write. Components hold the view pointer and guard every probe with a
 // nil-check; a nil view is the disabled state.
-//
-// Views write through an Emitter rather than the Tracer directly so a
-// speculative run can interpose a SpecBuffer: optimistic records
-// quarantine until their stretch commits, keeping ring contents,
-// high-water marks and aggregate counts rollback-clean.
-
-// Emitter is a view's sink. *Tracer implements it; SpecBuffer wraps
-// one for speculative execution.
-type Emitter interface {
-	Emit(track int32, k Kind, at, dur int64, a, b int32)
-}
-
-// SetEmitter redirects the view's sink (wiring-time only).
-func (d *DeviceTracks) SetEmitter(e Emitter) { d.t = e }
-
-// SetEmitter redirects the view's sink (wiring-time only).
-func (m *MCTracks) SetEmitter(e Emitter) { m.t = e }
-
-// SetEmitter redirects the view's sink (wiring-time only).
-func (g *GuardTracks) SetEmitter(e Emitter) { g.t = e }
-
-// SetEmitter redirects the view's sink (wiring-time only).
-func (c *CoreTracks) SetEmitter(e Emitter) { c.t = e }
 
 // DeviceTracks instruments one DRAM subchannel device: a command track
 // per bank plus a device-wide track for REF/RFM/ALERT.
 type DeviceTracks struct {
-	t    Emitter
+	t    *Tracer
 	dev  int32
 	bank []int32
 }
@@ -92,7 +69,7 @@ func (d *DeviceTracks) Alert(now int64) {
 
 // MCTracks instruments one memory controller.
 type MCTracks struct {
-	t   Emitter
+	t   *Tracer
 	ctl int32
 }
 
@@ -142,7 +119,7 @@ func (m *MCTracks) Request(arrive, dur int64, bank, row int) {
 // (chip 0 only, mirroring the device's observer convention, so
 // replicated chips do not multiply events).
 type GuardTracks struct {
-	t   Emitter
+	t   *Tracer
 	mit int32
 }
 
@@ -168,7 +145,7 @@ func (g *GuardTracks) SRQDepth(now int64, bank, depth int) {
 
 // CoreTracks instruments one core.
 type CoreTracks struct {
-	t    Emitter
+	t    *Tracer
 	core int32
 }
 

@@ -14,8 +14,8 @@ import (
 type Generator struct {
 	spec   Spec
 	mapper addrmap.Mapper
-	// pcg embedded by value (rand.Rand holds no state of its own) so a
-	// speculative checkpoint copies the stream as two words.
+	// pcg embedded by value (rand.Rand holds no state of its own) so
+	// the stream lives in the generator, not a separate heap object.
 	pcg rand.PCG
 	rng *rand.Rand
 
@@ -27,28 +27,6 @@ type Generator struct {
 	seq       int // streaming sweep position
 
 	gapMean float64
-
-	ck generatorCk
-}
-
-// generatorCk is the Generator's speculation snapshot: the RNG stream
-// and the current-run cursor. The hot set and row region are fixed at
-// construction.
-type generatorCk struct {
-	pcg       rand.PCG
-	cur       addrmap.Loc
-	remaining int
-	seq       int
-}
-
-// Checkpoint snapshots the generator for speculative execution.
-func (g *Generator) Checkpoint() {
-	g.ck = generatorCk{pcg: g.pcg, cur: g.cur, remaining: g.remaining, seq: g.seq}
-}
-
-// Restore rewinds the generator to the last Checkpoint.
-func (g *Generator) Restore() {
-	g.pcg, g.cur, g.remaining, g.seq = g.ck.pcg, g.ck.cur, g.ck.remaining, g.ck.seq
 }
 
 // NewGenerator builds a generator for one core. core/cores partition the
