@@ -308,28 +308,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(simNs)/float64(b.N), "simNs/op")
 }
 
-// BenchmarkSimulatorThroughputDomains is BenchmarkSimulatorThroughput
-// on the sharded event engine (one domain per subchannel plus one for
-// the core complex). simNs/op must equal the serial benchmark's exactly
-// — the sharded schedule is byte-identical by construction — while
-// ns/op measures what intra-run parallelism buys on this machine (on a
-// single-core runner it measures the barrier overhead instead).
-func BenchmarkSimulatorThroughputDomains(b *testing.B) {
-	b.ReportAllocs()
-	var simNs int64
-	for i := 0; i < b.N; i++ {
-		res, err := Simulate(Config{
-			Design: Baseline, Workload: "bwaves", InstrPerCore: 100_000, Seed: uint64(i + 1),
-			Domains: 3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		simNs += res.TimeNs
-	}
-	b.ReportMetric(float64(simNs)/float64(b.N), "simNs/op")
-}
-
 // BenchmarkHammerThroughput measures attack-mode simulation speed: the
 // inner loop of the mopac-attack search. hammerNs/op is the simulated
 // attack duration — deterministic per seed, so the regression gate can

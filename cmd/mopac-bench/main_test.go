@@ -81,14 +81,10 @@ func TestCompare(t *testing.T) {
 
 func TestAnnotate(t *testing.T) {
 	rep := Report{Benchmarks: map[string]Entry{
-		"BenchmarkSimulatorThroughput":        {Metrics: map[string]float64{"ns/op": 60e6}},
-		"BenchmarkSimulatorThroughputDomains": {Metrics: map[string]float64{"ns/op": 40e6}},
+		"BenchmarkSimulatorThroughput": {Metrics: map[string]float64{"ns/op": 60e6}},
 	}}
 	rep.annotate()
 	if rep.GoMaxProcs < 1 || rep.NumCPU < 1 {
 		t.Fatalf("host parallelism not recorded: %+v", rep)
-	}
-	if got := rep.ParallelSpeedup; got < 1.49 || got > 1.51 {
-		t.Fatalf("parallel speedup = %v, want 1.5", got)
 	}
 }

@@ -39,8 +39,7 @@ func main() {
 		list     = flag.Bool("list", false, "print the experiment step ids and exit")
 		out      = flag.String("o", "", "output file (default: stdout)")
 		wls      = flag.String("workloads", "", "comma-separated workload subset")
-		parallel = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS/domains)")
-		domains  = flag.Int("domains", 0, "intra-run parallel event domains per simulation (0/1 = serial; results are identical)")
+		parallel = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
 
 		storeDir = flag.String("store", "", "result store directory (default: user cache dir, e.g. ~/.cache/mopac)")
 		noStore  = flag.Bool("no-store", false, "disable the persistent result store")
@@ -69,7 +68,7 @@ func main() {
 	}
 	defer stopProf()
 
-	sc := sim.Scale{InstrPerCore: *instr, AttackActs: *acts, Seed: *seed, Parallel: *parallel, Domains: *domains}
+	sc := sim.Scale{InstrPerCore: *instr, AttackActs: *acts, Seed: *seed, Parallel: *parallel}
 	if *wls != "" {
 		sc.Workloads = strings.Split(*wls, ",")
 	}

@@ -188,18 +188,18 @@ func TestSearchGoldenTrajectory(t *testing.T) {
 	}
 }
 
-// TestSearchParallelismInvariance: Workers and Domains shape wall time
-// only — a fanned-out search must render byte-identical reports to the
-// serial one. This is the in-process version of the CI attack-smoke
+// TestSearchParallelismInvariance: Workers shapes wall time only — a
+// fanned-out search must render byte-identical reports to the serial
+// one. This is the in-process version of the CI attack-smoke
 // parallel-equivalence assertion.
 func TestSearchParallelismInvariance(t *testing.T) {
-	serial, _, err := Search(testOptions())
+	opt := testOptions()
+	opt.Workers = 1
+	serial, _, err := Search(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := testOptions()
-	opt.Workers = 4
-	opt.Domains = 2
+	opt.Workers = 3
 	parallel, _, err := Search(opt)
 	if err != nil {
 		t.Fatal(err)

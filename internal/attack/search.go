@@ -53,15 +53,9 @@ type Options struct {
 	// (Seed, Budget, TargetActs, Batch) all match. Larger batches widen
 	// the parallel inner loop at the cost of slower incumbent feedback.
 	Batch int
-	// Workers bounds concurrent evaluations (0 = machine budget). It
+	// Workers bounds concurrent evaluations (0 = GOMAXPROCS). It
 	// changes wall time only, never the report.
 	Workers int
-	// Domains, when >= 2, runs each planner-executed simulation on that
-	// many event domains and divides the worker pool accordingly
-	// (sim.ConcurrencyBudget), so inter-candidate and intra-run
-	// parallelism share one machine budget. Like Workers it changes
-	// wall time only, never the report.
-	Domains int
 	// Store, when non-nil, persists evaluations under
 	// sim.AttackStoreSchema so repeated and warm searches skip
 	// re-simulation.
@@ -104,15 +98,15 @@ type TrajectoryPoint struct {
 // statistics, or other machine-dependent state: two runs with the same
 // options render byte-identical text and JSON.
 type Report struct {
-	Schema     string            `json:"schema"`
-	Design     string            `json:"design"`
-	TRH        int               `json:"trh"`
-	Seed       uint64            `json:"seed"`
-	Budget     int               `json:"budget"`
-	Batch      int               `json:"batch"`
-	TargetActs int64             `json:"target_acts"`
-	Baseline   Eval              `json:"baseline"`
-	Best       Eval              `json:"best"`
+	Schema     string `json:"schema"`
+	Design     string `json:"design"`
+	TRH        int    `json:"trh"`
+	Seed       uint64 `json:"seed"`
+	Budget     int    `json:"budget"`
+	Batch      int    `json:"batch"`
+	TargetActs int64  `json:"target_acts"`
+	Baseline   Eval   `json:"baseline"`
+	Best       Eval   `json:"best"`
 	// Improvement is Best.Score - Baseline.Score: how much worse than
 	// the stock double-sided loop the found pattern slips.
 	Improvement float64           `json:"improvement"`
@@ -157,9 +151,6 @@ func Search(opt Options) (*Report, sim.PlanStats, error) {
 	geo := addrmap.Default()
 
 	planner := sim.NewPlanner(opt.Workers)
-	if opt.Domains >= 2 {
-		planner.SetDomains(opt.Domains)
-	}
 	if opt.Store != nil {
 		planner.SetAttackStore(opt.Store)
 	}

@@ -92,7 +92,7 @@ type miss struct {
 // Core drives one trace through the memory system.
 type Core struct {
 	cfg Config
-	eng event.Sched
+	eng *event.Engine
 	src Source
 
 	retired int64
@@ -162,7 +162,7 @@ func (c *Core) recycleMiss(m *miss) {
 }
 
 // New creates a core and schedules its first work at engine time.
-func New(eng event.Sched, cfg Config, src Source) (*Core, error) {
+func New(eng *event.Engine, cfg Config, src Source) (*Core, error) {
 	if cfg.Width <= 0 || cfg.ROB <= 0 || cfg.TargetInstr <= 0 {
 		return nil, fmt.Errorf("cpu: config must be positive: %+v", cfg)
 	}

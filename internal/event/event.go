@@ -6,11 +6,8 @@
 // Components schedule callbacks; the Engine runs them in time order and
 // exposes the current simulation time. All Engine state is
 // single-goroutine: the simulator is deterministic by construction and
-// parallelism across runs is achieved by running independent
-// simulations concurrently. For parallelism inside one run, the
-// sharded Domains engine (domains.go) advances several domain-local
-// schedulers in conservative lookahead epochs while preserving the
-// same determinism guarantee.
+// parallelism is achieved by running independent simulations
+// concurrently.
 //
 // The engine is built for throughput: events live in a flat []item pool
 // reused through a free list (no per-event heap allocation, no interface
@@ -57,24 +54,22 @@ const idxBits = 20
 const idxMask = 1<<idxBits - 1
 
 // crossBit marks an entry scheduled through Send — a modelled
-// cross-domain hop. It sits above the source-domain and sequence
-// fields so that at equal (at, birth) every locally scheduled event
-// precedes every hop, which is exactly the order the sharded engine
-// realises: a domain schedules all of an instant's local events during
-// the epoch, and barrier injection appends the hops afterwards.
+// fixed-latency hop between components. It sits above the source and
+// sequence fields so that at equal (at, birth) every locally scheduled
+// event precedes every hop: a component's own reaction to an instant
+// settles before any message sent to it at that instant is delivered.
 const crossBit = uint64(1) << 63
 
-// srcBits is the key space for a hop's source-domain index, directly
-// below the cross bit: hops landing at the same (at, birth) order by
-// sender domain, then per-sender send order — the same
-// goroutine-independent merge rule Domains.inject applies, which is
-// what lets the two engines elaborate one schedule.
+// srcBits is the key space for a hop's source index, directly below
+// the cross bit: hops landing at the same (at, birth) order by sender,
+// then per-sender send order. Ordering by sender identity rather than
+// by global scheduling order pins the tie-break to the model's
+// topology, which is what every recorded result encodes.
 const (
 	srcBits  = 6
 	srcShift = 63 - srcBits
-	// MaxDomains bounds the source indices Send accepts (and therefore
-	// how many domains a simulation may shard onto).
-	MaxDomains = 1 << srcBits
+	// MaxHopSources bounds the source indices Send accepts.
+	MaxHopSources = 1 << srcBits
 )
 
 // heapEntry is one priority-queue element: the (at, birth, key) sort
@@ -91,12 +86,10 @@ func (e heapEntry) idx() int32 { return int32(e.key & idxMask) }
 
 // before orders entries by (at, birth, cross, src, seq): same-time
 // events fire in birth order, then local-before-hop, then hops by
-// sender domain, then scheduling (FIFO) order. Birth never disagrees
-// with seq on a serial engine (the clock is monotone, so
-// later-scheduled events are never younger), so for purely local
-// schedules this is the classic (at, seq) FIFO; the birth, cross and
-// src terms exist to pin the one order a sharded engine can also
-// reproduce (see domains.go).
+// sender, then scheduling (FIFO) order. Birth never disagrees with seq
+// (the clock is monotone, so later-scheduled events are never
+// younger), so for purely local schedules this is the classic
+// (at, seq) FIFO; the cross and src terms only reorder hops (see Send).
 func (a heapEntry) before(b heapEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -107,29 +100,10 @@ func (a heapEntry) before(b heapEntry) bool {
 	return a.key < b.key
 }
 
-// Sched is the scheduling surface shared by the serial Engine and the
-// per-domain engines of the sharded Domains engine. Components hold a
-// Sched instead of a concrete engine, so the same controller or core
-// code runs unchanged on either; the interface call costs a few
-// nanoseconds against event-handler bodies that run hundreds.
-type Sched interface {
-	Now() int64
-	At(t int64, fn Handler) Token
-	After(d int64, fn Handler) Token
-	AtFunc(t int64, fn Func, ctx any, arg int64) Token
-	AfterFunc(d int64, fn Func, ctx any, arg int64) Token
-}
-
-// canceler is the token-owner side of Token: both engine flavours
-// implement it so one Token type serves both.
-type canceler interface {
-	cancelToken(idx int32, gen uint32)
-}
-
 // Token identifies a scheduled event so it can be cancelled. The zero
 // Token is valid and cancels nothing.
 type Token struct {
-	c   canceler
+	e   *Engine
 	idx int32
 	gen uint32
 }
@@ -138,8 +112,8 @@ type Token struct {
 // already-cancelled event is a no-op, as is cancelling through a stale
 // token whose slot has been reused for a newer event.
 func (t Token) Cancel() {
-	if t.c != nil {
-		t.c.cancelToken(t.idx, t.gen)
+	if t.e != nil {
+		t.e.cancelToken(t.idx, t.gen)
 	}
 }
 
@@ -250,23 +224,20 @@ func (e *Engine) AtFunc(t int64, fn Func, ctx any, arg int64) Token {
 	return e.schedule(t, 0, fn, ctx, arg)
 }
 
-// Send schedules fn(ctx, arg) d nanoseconds from now as a modelled
-// cross-domain hop from the logical domain src: at equal (at, birth)
-// it fires after every locally scheduled event, and hops from
-// different senders resolve by src, then per-sender send order —
-// exactly the order barrier injection produces on the sharded Domains
-// engine. The simulation layer uses it for the frontend hops
-// (core→controller arrival, controller→core completion) so the serial
-// engine elaborates the exact schedule the sharded one must reproduce;
-// src is the index the sender's component would occupy in the sharded
-// partition (subchannel index, or subchannel count for the core
-// complex).
+// Send schedules fn(ctx, arg) d nanoseconds from now as a modelled hop
+// from the sender src: at equal (at, birth) it fires after every
+// locally scheduled event, and hops from different senders resolve by
+// src, then per-sender send order. The simulation layer uses it for
+// the frontend hops (core→controller arrival, controller→core
+// completion), with src the sending subchannel's index, or the
+// subchannel count for the core complex. The tie-break is part of the
+// model: recorded results depend on it, so it must not change.
 func (e *Engine) Send(src int, d int64, fn Func, ctx any, arg int64) Token {
 	if d < 0 {
 		panic("event: negative hop delay")
 	}
-	if src < 0 || src >= MaxDomains {
-		panic("event: source domain out of range")
+	if src < 0 || src >= MaxHopSources {
+		panic("event: hop source out of range")
 	}
 	if fn == nil {
 		panic("event: nil handler")

@@ -2,6 +2,7 @@ package event
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -256,6 +257,40 @@ func TestStaleTokenCannotCancelReusedSlot(t *testing.T) {
 func TestZeroTokenCancel(t *testing.T) {
 	var tok Token
 	tok.Cancel()
+}
+
+// TestSendTieBreak pins Send's ordering at one instant: among events
+// born at the same time, local events fire before hops, hops fire by
+// sender index, and one sender's hops fire in send order; an event
+// born earlier fires before one born later whatever their kinds and
+// senders.
+func TestSendTieBreak(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	rec := func(ctx any, _ int64) { got = append(got, ctx.(string)) }
+	e.At(5, func() {
+		e.AtFunc(10, rec, "young-local", 0)
+		e.Send(0, 5, rec, "young-hop-src0", 0)
+	})
+	e.Send(2, 10, rec, "hop-src2-a", 0)
+	e.Send(0, 10, rec, "hop-src0", 0)
+	e.AtFunc(10, rec, "local-a", 0)
+	e.Send(1, 10, rec, "hop-src1-a", 0)
+	e.Send(2, 10, rec, "hop-src2-b", 0)
+	e.Send(1, 10, rec, "hop-src1-b", 0)
+	e.AtFunc(10, rec, "local-b", 0)
+	for e.Step() {
+	}
+	want := []string{
+		"local-a", "local-b",
+		"hop-src0",
+		"hop-src1-a", "hop-src1-b",
+		"hop-src2-a", "hop-src2-b",
+		"young-local", "young-hop-src0",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fire order\n got: %v\nwant: %v", got, want)
+	}
 }
 
 // BenchmarkEngineScheduleAndFireFunc is the pre-bound hot-path form:

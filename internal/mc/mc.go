@@ -130,7 +130,7 @@ type Stats struct {
 
 // Controller schedules one subchannel.
 type Controller struct {
-	eng event.Sched
+	eng *event.Engine
 	dev *dram.Device
 	cfg Config
 	// pcg is embedded by value and wrapped by rng (rand.Rand holds no
@@ -295,7 +295,7 @@ func (c *Controller) recycleRequest(r *Request) {
 
 // New returns a controller bound to an engine and a device. The device's
 // timing must equal cfg.Timing.
-func New(eng event.Sched, dev *dram.Device, cfg Config) (*Controller, error) {
+func New(eng *event.Engine, dev *dram.Device, cfg Config) (*Controller, error) {
 	if err := cfg.Timing.Validate(); err != nil {
 		return nil, err
 	}

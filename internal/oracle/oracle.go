@@ -26,14 +26,11 @@
 // never reset), so mitigations and refreshes clear counts in place
 // without tombstones.
 //
-// Sharding: every accessor that can observe cross-row state — the
+// Order: every accessor that can observe cross-row state — the
 // violation list, the peak ranking, the max-excursion row — reports in
 // the canonical (time, bank, row) / (peak desc, bank, row) order rather
-// than observation order. That makes Merge deterministic: oracles that
-// observed disjoint (bank, row) streams (one shard per subchannel event
-// domain) combine into a single oracle whose output is byte-identical
-// to one oracle having watched the interleaved stream, regardless of
-// how the shards' observations interleaved in wall-clock time.
+// than observation or table order, so its output depends only on what
+// was observed, not on how the table happens to be laid out.
 package oracle
 
 import (
@@ -201,10 +198,8 @@ func (o *Oracle) liveRows() int {
 }
 
 // Violations returns every recorded threshold crossing in canonical
-// (time, bank, row) order. The full-key tie-break — not just time —
-// is what makes merged shard output independent of observation
-// interleaving: two rows crossing at the same instant on different
-// shards sort identically however they were recorded.
+// (time, bank, row) order: two rows crossing at the same instant sort
+// by location, not by which was observed first.
 func (o *Oracle) Violations() []Violation {
 	out := make([]Violation, len(o.violations))
 	copy(out, o.violations)
@@ -286,49 +281,3 @@ func (o *Oracle) Mitigations() int64 { return o.mitigations }
 
 // Threshold returns the configured Rowhammer threshold.
 func (o *Oracle) Threshold() int { return o.trh }
-
-// Merge combines oracles that observed disjoint (bank, row) streams —
-// one shard per subchannel event domain — into a single oracle whose
-// accessors report exactly what one oracle observing the union stream
-// would. All shards must share a threshold. Counters sum, tables union
-// (a key held by several shards keeps the summed count and the maximum
-// peak, though disjoint shards never hit that case), and the violation
-// list concatenates; every accessor already reports in canonical order,
-// so the merged output is deterministic regardless of shard order or
-// observation interleaving. The shards are left untouched and the
-// result shares no state with them.
-func Merge(shards ...*Oracle) *Oracle {
-	if len(shards) == 0 {
-		panic("oracle: Merge needs at least one shard")
-	}
-	if len(shards) == 1 {
-		return shards[0]
-	}
-	m := New(shards[0].trh)
-	for _, s := range shards {
-		if s.trh != m.trh {
-			panic("oracle: Merge across different thresholds")
-		}
-		m.activations += s.activations
-		m.mitigations += s.mitigations
-		m.violations = append(m.violations, s.violations...)
-		for i, p := range s.peaks {
-			if p == 0 {
-				continue
-			}
-			if m.used*4 >= len(m.keys)*3 {
-				m.grow()
-			}
-			j := m.slot(s.keys[i])
-			if m.peaks[j] == 0 {
-				m.keys[j] = s.keys[i]
-				m.used++
-			}
-			m.counts[j] += s.counts[i]
-			if p > m.peaks[j] {
-				m.peaks[j] = p
-			}
-		}
-	}
-	return m
-}

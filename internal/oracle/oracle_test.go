@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -287,66 +286,6 @@ func TestQuickDenseMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestQuickMergeMatchesInterleaved shards a random event stream by bank
-// parity across two oracles and requires Merge to reproduce exactly
-// what a single oracle observing the interleaved stream reports.
-func TestQuickMergeMatchesInterleaved(t *testing.T) {
-	type ev struct {
-		Bank, Row uint8
-		Kind      uint8
-	}
-	f := func(trh8 uint8, evs []ev) bool {
-		trh := int(trh8%6) + 2
-		whole := New(trh)
-		shards := []*Oracle{New(trh), New(trh)}
-		for i, e := range evs {
-			bank, row := int(e.Bank%4), int(e.Row%16)
-			s := shards[bank%2]
-			switch e.Kind % 8 {
-			case 6:
-				whole.ObserveMitigation(int64(i), bank, row)
-				s.ObserveMitigation(int64(i), bank, row)
-			case 7:
-				lo := (row / 8) * 8
-				whole.ObserveRefresh(int64(i), bank, lo, lo+8)
-				s.ObserveRefresh(int64(i), bank, lo, lo+8)
-			default:
-				whole.ObserveActivate(int64(i), bank, row)
-				s.ObserveActivate(int64(i), bank, row)
-			}
-		}
-		m := Merge(shards[0], shards[1])
-		if m.Activations() != whole.Activations() || m.Mitigations() != whole.Mitigations() {
-			return false
-		}
-		if m.Secure() != whole.Secure() {
-			return false
-		}
-		if !reflect.DeepEqual(m.Violations(), whole.Violations()) {
-			return false
-		}
-		if !reflect.DeepEqual(m.TopPeaks(-1), whole.TopPeaks(-1)) {
-			return false
-		}
-		mc, mb, mr := m.MaxUnmitigated()
-		wc, wb, wr := whole.MaxUnmitigated()
-		return mc == wc && mb == wb && mr == wr
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMergeSingleShardPassesThrough: the one-shard fast path must hand
-// back the shard itself (the serial configuration pays no merge cost).
-func TestMergeSingleShardPassesThrough(t *testing.T) {
-	o := New(5)
-	o.ObserveActivate(1, 0, 3)
-	if m := Merge(o); m != o {
-		t.Fatal("single-shard merge must return the shard")
-	}
-}
-
 // TestGrowPreservesState forces several table growths and checks
 // nothing is lost or duplicated across rehashes.
 func TestGrowPreservesState(t *testing.T) {
@@ -368,85 +307,18 @@ func TestGrowPreservesState(t *testing.T) {
 	}
 }
 
-// TestMergeZeroShardsPanics pins the zero-shard contract: there is no
-// threshold to build the merged oracle from, so Merge must refuse
-// loudly instead of fabricating one.
-func TestMergeZeroShardsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Merge() with zero shards must panic")
-		}
-	}()
-	Merge()
-}
-
-// TestMergeSingleShardIsIdentity complements the pass-through check:
-// beyond returning the same pointer, the single-shard path must leave
-// the shard's contents untouched.
-func TestMergeSingleShardIsIdentity(t *testing.T) {
-	o := New(3)
-	for i := 0; i < 3; i++ {
-		o.ObserveActivate(int64(i), 1, 9)
+// TestFreshOracleIsEmpty: an oracle that never observed an activation
+// reports a secure, zero-count run rather than tripping over its
+// untouched table.
+func TestFreshOracleIsEmpty(t *testing.T) {
+	o := New(7)
+	if !o.Secure() || o.Activations() != 0 || o.Mitigations() != 0 {
+		t.Fatalf("fresh oracle: secure=%v acts=%d mits=%d", o.Secure(), o.Activations(), o.Mitigations())
 	}
-	before := mustDigest(t, o)
-	m := Merge(o)
-	if m != o {
-		t.Fatal("single-shard merge must return the shard")
+	if peaks := o.TopPeaks(-1); len(peaks) != 0 {
+		t.Fatalf("fresh oracle produced %d peaks", len(peaks))
 	}
-	if after := mustDigest(t, o); before != after {
-		t.Fatalf("single-shard merge mutated the shard:\nbefore: %s\nafter:  %s", before, after)
+	if c, b, r := o.MaxUnmitigated(); c != 0 {
+		t.Fatalf("fresh oracle MaxUnmitigated = %d (bank %d row %d)", c, b, r)
 	}
-}
-
-// TestMergeEmptyShard covers the sharded-simulation shape where one
-// subchannel never observed an activation (its dense table was never
-// touched): merging the empty shard must neither perturb the populated
-// one's outputs nor invent peaks, in either argument order.
-func TestMergeEmptyShard(t *testing.T) {
-	build := func() *Oracle {
-		o := New(5)
-		for i := 0; i < 6; i++ {
-			o.ObserveActivate(int64(i), 2, 11)
-		}
-		o.ObserveMitigation(6, 2, 11)
-		return o
-	}
-	solo := build()
-	want := mustDigest(t, solo)
-	for name, shards := range map[string][]*Oracle{
-		"empty-last":  {build(), New(5)},
-		"empty-first": {New(5), build()},
-		"empty-both":  {New(5), build(), New(5)},
-	} {
-		m := Merge(shards...)
-		if got := mustDigest(t, m); got != want {
-			t.Errorf("%s: merged digest diverged\nwant: %s\ngot:  %s", name, want, got)
-		}
-	}
-}
-
-// TestMergeAllEmptyShards: a run that never activated anything must
-// merge to a secure, zero-count oracle rather than tripping over the
-// untouched dense tables.
-func TestMergeAllEmptyShards(t *testing.T) {
-	m := Merge(New(7), New(7), New(7))
-	if !m.Secure() || m.Activations() != 0 || m.Mitigations() != 0 {
-		t.Fatalf("empty merge: secure=%v acts=%d mits=%d", m.Secure(), m.Activations(), m.Mitigations())
-	}
-	if peaks := m.TopPeaks(-1); len(peaks) != 0 {
-		t.Fatalf("empty merge produced %d peaks", len(peaks))
-	}
-	if c, b, r := m.MaxUnmitigated(); c != 0 {
-		t.Fatalf("empty merge MaxUnmitigated = %d (bank %d row %d)", c, b, r)
-	}
-}
-
-// mustDigest flattens an oracle's externally observable outputs for
-// comparison.
-func mustDigest(t *testing.T, o *Oracle) string {
-	t.Helper()
-	c, b, r := o.MaxUnmitigated()
-	return fmt.Sprintf("secure=%v v=%v peaks=%v max=%d/%d/%d acts=%d mits=%d",
-		o.Secure(), o.Violations(), o.TopPeaks(-1), c, b, r,
-		o.Activations(), o.Mitigations())
 }

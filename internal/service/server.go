@@ -26,11 +26,6 @@ type Options struct {
 	// Queue bounds accepted-but-unstarted jobs; a full queue turns new
 	// submissions into 429 + Retry-After (<= 0 selects 64).
 	Queue int
-	// Domains shards every job onto that many intra-run event domains
-	// (0 or 1 = serial engine; results are byte-identical either way).
-	// When Workers is unset the pool shrinks to GOMAXPROCS/Domains, so
-	// the two parallelism layers share one machine budget.
-	Domains int
 	// CacheSize bounds the result cache (<= 0 selects 256).
 	CacheSize int
 	// Store, when non-nil, is a persistent second tier behind the
@@ -48,7 +43,6 @@ type Server struct {
 	cache   *Cache
 	metrics *Metrics
 	log     *slog.Logger
-	domains int
 
 	rootCtx    context.Context
 	rootCancel context.CancelCauseFunc
@@ -79,11 +73,10 @@ func New(opts Options) *Server {
 		cache.SetDisk(opts.Store)
 	}
 	return &Server{
-		pool:       NewPool(sim.ConcurrencyBudget(opts.Workers, opts.Domains), opts.Queue),
+		pool:       NewPool(opts.Workers, opts.Queue),
 		cache:      cache,
 		metrics:    NewMetrics(),
 		log:        log,
-		domains:    opts.Domains,
 		rootCtx:    ctx,
 		rootCancel: cancel,
 		jobs:       make(map[string]*Job),
@@ -316,9 +309,6 @@ func (s *Server) run(job *Job, ctx context.Context, cancel context.CancelCauseFu
 	// The tracer lives in a local copy of the config: Job.Config stays
 	// the canonical, hashable request.
 	cfg := job.Config
-	if cfg.Domains == 0 {
-		cfg.Domains = s.domains
-	}
 	var tracer *telemetry.Tracer
 	if job.TraceWanted {
 		tracer = telemetry.New(telemetry.Options{TrackLimit: job.TraceLimit})

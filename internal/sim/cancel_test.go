@@ -3,68 +3,60 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
 )
 
-// TestRunContextCancelMidFlight aborts a long run, serial and sharded,
-// and checks it returns promptly with the sentinel error and leaks no
-// goroutines (the sharded engine's epoch workers included).
+// TestRunContextCancelMidFlight aborts a long run and checks it returns
+// promptly with the sentinel error and leaks no goroutines.
 func TestRunContextCancelMidFlight(t *testing.T) {
-	for _, domains := range []int{0, 3} {
-		t.Run(fmt.Sprintf("domains=%d", domains), func(t *testing.T) {
-			before := runtime.NumGoroutine()
+	before := runtime.NumGoroutine()
 
-			sys, err := NewSystem(Config{
-				Design: DesignMoPACD, TRH: 500, Workload: "lbm",
-				InstrPerCore: 200_000_000, Seed: 1, // far longer than the test runs
-				Domains: domains,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			done := make(chan error, 1)
-			go func() {
-				_, err := sys.RunContext(ctx, 0)
-				done <- err
-			}()
-			time.Sleep(50 * time.Millisecond) // let the run get mid-flight
-			cancel()
-			select {
-			case err := <-done:
-				if !errors.Is(err, ErrCanceled) {
-					t.Fatalf("RunContext error = %v, want ErrCanceled", err)
-				}
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("RunContext error = %v, want wrapped context.Canceled", err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("cancelled run did not return within 5 s")
-			}
+	sys, err := NewSystem(Config{
+		Design: DesignMoPACD, TRH: 500, Workload: "lbm",
+		InstrPerCore: 200_000_000, Seed: 1, // far longer than the test runs
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := sys.RunContext(ctx, 0)
+		done <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // let the run get mid-flight
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("RunContext error = %v, want ErrCanceled", err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("RunContext error = %v, want wrapped context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled run did not return within 5 s")
+	}
 
-			// The run goroutine must be gone; allow the scheduler a moment.
-			deadline := time.Now().Add(2 * time.Second)
-			for {
-				runtime.GC()
-				if runtime.NumGoroutine() <= before {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("goroutine leak: %d before, %d after cancel", before, runtime.NumGoroutine())
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-		})
+	// The run goroutine must be gone; allow the scheduler a moment.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		runtime.GC()
+		if runtime.NumGoroutine() <= before {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d before, %d after cancel", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// TestRunContextCapThenResume stops a sharded run at a time cap and
-// resumes it: the workers are released at the cap and restarted by the
-// second run, which must finish exactly where an uninterrupted serial
-// run does.
+// TestRunContextCapThenResume stops a run at a time cap and resumes it:
+// the second call must finish exactly where an uninterrupted run does,
+// so a cap never shifts the epoch sequence the stop rule follows.
 func TestRunContextCapThenResume(t *testing.T) {
 	cfg := Config{
 		Design:       DesignBaseline,
@@ -72,7 +64,6 @@ func TestRunContextCapThenResume(t *testing.T) {
 		Cores:        2,
 		InstrPerCore: 30_000,
 		Seed:         7,
-		Domains:      3,
 	}
 	sys, err := NewSystem(cfg)
 	if err != nil {
@@ -85,11 +76,16 @@ func TestRunContextCapThenResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := cfg
-	serial.Domains = 0
-	serialRes, _ := runFull(t, serial)
-	if res.TimeNs != serialRes.TimeNs {
-		t.Fatalf("resumed sharded run finished at %d ns, serial at %d ns", res.TimeNs, serialRes.TimeNs)
+	whole, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wholeRes, err := whole.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TimeNs != wholeRes.TimeNs {
+		t.Fatalf("resumed run finished at %d ns, uninterrupted run at %d ns", res.TimeNs, wholeRes.TimeNs)
 	}
 }
 

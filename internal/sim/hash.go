@@ -15,10 +15,7 @@ const hashVersion = "mopac-config-v2"
 // describes. The config is normalised first (setDefaults), so a zero
 // field and its explicit default hash identically, and every field that
 // can change the Result participates — and nothing else: Trace is pure
-// observation and is excluded, so traced and untraced runs share a key,
-// and Domains is excluded because the sharded engine reproduces the
-// serial schedule byte for byte (determinism_test.go enforces it), so
-// runs at any domain count share a key too.
+// observation and is excluded, so traced and untraced runs share a key.
 // Because runs are seeded and the simulator is deterministic by
 // construction, two configs with equal hashes produce byte-identical
 // results — which is what makes the service result cache, the

@@ -66,34 +66,11 @@ type planEntry struct {
 	err  error
 }
 
-// ConcurrencyBudget resolves how many runs to execute concurrently
-// when each run may itself occupy several event domains. An explicit
-// worker count wins untouched — the caller asked for it. Otherwise the
-// machine budget (GOMAXPROCS) is divided by the per-run domain count,
-// so planner workers × intra-run domains never oversubscribes the
-// cores: turning on -domains shifts parallelism inside runs instead of
-// stacking it on top of run-level parallelism.
-func ConcurrencyBudget(workers, domains int) int {
-	if workers > 0 {
-		return workers
-	}
-	per := 1
-	if domains > 1 {
-		per = domains
-	}
-	n := runtime.GOMAXPROCS(0) / per
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // Planner dedupes and executes declared configs. Safe for concurrent
 // use: Need and Flush may be called from multiple goroutines, and Get
 // blocks until the requested entry's flush completes.
 type Planner struct {
 	workers     int
-	domains     int
 	store       ResultStore
 	attackStore ResultStore
 
@@ -121,18 +98,6 @@ func NewPlanner(workers int) *Planner {
 		byKey:    make(map[string]Config),
 		byAttack: make(map[string]AttackConfig),
 	}
-}
-
-// SetDomains makes every simulation the planner executes run on n
-// event domains (Config.Domains is stamped onto declared configs that
-// leave it zero — it never changes results or keys, only wall-clock
-// shape), and shrinks the worker pool through ConcurrencyBudget so the
-// two parallelism layers share one machine budget. Call before the
-// first Flush.
-func (p *Planner) SetDomains(n int) {
-	p.mu.Lock()
-	p.domains = n
-	p.mu.Unlock()
 }
 
 // SetStore attaches the persistent result tier. Call before the first
@@ -221,13 +186,15 @@ func (p *Planner) Flush() error {
 	p.pending = nil
 	store := p.store
 	attackStore := p.attackStore
-	domains := p.domains
 	p.mu.Unlock()
 	if len(keys) == 0 {
 		return nil
 	}
 
-	workers := ConcurrencyBudget(p.workers, domains)
+	workers := p.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > len(keys) {
 		workers = len(keys)
 	}
@@ -255,9 +222,6 @@ func (p *Planner) Flush() error {
 				acfg := p.byAttack[key]
 				entry := p.entries[key]
 				p.mu.Unlock()
-				if domains != 0 && cfg.Domains == 0 {
-					cfg.Domains = domains
-				}
 				if ctx.Err() != nil {
 					// Fail-fast drain: everything after the first error is
 					// skipped, not simulated.

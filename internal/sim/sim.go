@@ -138,19 +138,6 @@ type Config struct {
 	// tracing never changes results, so cache keys ignore it — and from
 	// the persisted result-store encoding for the same reason.
 	Trace *telemetry.Tracer `json:"-"`
-	// Domains >= 2 shards the run across parallel event domains: one
-	// per subchannel (controller + DRAM device + guards) plus one for
-	// the core complex, synchronised in conservative epochs of width
-	// FrontendLatencyNs (see internal/event.Domains and DESIGN.md §4e).
-	// The sharded schedule is byte-identical to the serial engine's, so
-	// Domains is excluded from Hash() and from the persisted encoding
-	// like Trace: it changes wall time, never results. 0 or 1 selects
-	// the serial engine. The oracle shards with the domains — one shard
-	// per subchannel, merged deterministically at collection — so
-	// TrackSecurity runs parallelise too. Serial is forced — the
-	// setting is ignored — only for coreless systems (external drivers
-	// step the Engine manually).
-	Domains int `json:"-"`
 }
 
 func (c *Config) setDefaults() {
@@ -235,46 +222,34 @@ func (r Result) SRQInsertionsPer100ACTs() float64 {
 	return float64(r.SRQ.Insertions+r.SRQ.Coalesced) / float64(r.SRQ.Activations) * 100
 }
 
-// System is a fully wired simulated machine. Exactly one of eng and
-// dom is non-nil: eng is the serial single-heap engine, dom the
-// sharded parallel engine selected by Config.Domains.
+// System is a fully wired simulated machine running on one event
+// engine.
 type System struct {
-	cfg       Config
-	eng       *event.Engine  // serial engine (nil in domain mode)
-	dom       *event.Domains // sharded engine (nil in serial mode)
-	coreDomID int32          // core-complex domain index in dom
-	coreSched event.Sched    // engine handle cores schedule on
-	mapper    addrmap.Mapper
-	devs      []*dram.Device
-	ctrls     []*mc.Controller
-	cores     []*cpu.Core
-	// oracles holds one security-oracle shard per subchannel. Like
-	// wstats, each shard is only written by its subchannel's clock
-	// domain (the device observer chain), so TrackSecurity runs shard
-	// across event domains without locking; Oracle()/collect() merge
-	// the disjoint shards deterministically.
-	oracles []*oracle.Oracle
-	wstats  []*WorkloadStats // one shard per subchannel (domain-local)
+	cfg     Config
+	eng     *event.Engine
+	mapper  addrmap.Mapper
+	devs    []*dram.Device
+	ctrls   []*mc.Controller
+	cores   []*cpu.Core
+	oracle  *oracle.Oracle // nil unless Config.TrackSecurity
+	wstats  *WorkloadStats
 	tparams timing.Params
-	freeTxn []*txn // recycled completion contexts (core-domain-owned)
+	freeTxn []*txn // recycled completion contexts
 	running int    // cores that have not yet retired their target
 
-	// Adaptive-horizon state (see horizonBound): per-subchannel queues
-	// of pending frontend-hop delivery instants, and the controllers'
+	// Epoch-horizon state (see horizonBound): per-subchannel queues of
+	// pending frontend-hop delivery instants, and the controllers'
 	// minimum issue-to-completion gap. arrQ tracks core->controller
-	// arrival hops (written by the core domain in submit); delivQ
-	// tracks controller->core completion hops (written by each
-	// subchannel's domain in txnComplete/txnCompleteDom). Each queue is
-	// only ever appended to by the one domain that owns it and drained
-	// at epoch barriers, so sharded runs need no locking.
+	// arrival hops (pushed in submit); delivQ tracks controller->core
+	// completion hops (pushed in txnComplete).
 	arrQ   []timeQ
 	delivQ []timeQ
 	gap    int64
 }
 
-// timeQ is a FIFO of future event instants. Hop events are scheduled
-// in non-decreasing time order by a single clock domain, so a ring with
-// a head cursor suffices; storage is reclaimed whenever the head
+// timeQ is a FIFO of future event instants. One queue's hops all pay
+// the same fixed latency and are scheduled in clock order, so a ring
+// with a head cursor suffices; storage is reclaimed whenever the head
 // catches up, keeping the steady state allocation-free.
 type timeQ struct {
 	q    []int64
@@ -299,15 +274,6 @@ func (t *timeQ) next(now int64) int64 {
 		return mc.Never
 	}
 	return t.q[t.head]
-}
-
-// nowNs returns the committed simulation time of whichever engine the
-// system runs on.
-func (s *System) nowNs() int64 {
-	if s.dom != nil {
-		return s.dom.Now()
-	}
-	return s.eng.Now()
 }
 
 // designParams derives the security parameters and timing/controller
@@ -398,43 +364,18 @@ func NewSystem(c Config) (*System, error) {
 		return nil, err
 	}
 
-	s := &System{cfg: c, mapper: mapper, tparams: tparams}
-	// Domain partition: one event domain per subchannel plus one for
-	// the core complex. Serial is forced only for coreless systems
-	// (attack drivers and trace replay advance the serial Engine by
-	// hand); oracle-tracked runs shard like any other — the oracle
-	// itself shards per subchannel.
-	subSched := make([]event.Sched, geo.Subchannels)
-	// The core-complex index is meaningful in both modes: serial hops
-	// carry it as their source tag so the serial tie-break matches the
-	// sharded barrier merge.
-	s.coreDomID = int32(geo.Subchannels)
-	s.arrQ = make([]timeQ, geo.Subchannels)
-	s.delivQ = make([]timeQ, geo.Subchannels)
-	if c.Domains >= 2 && c.Workload != "" {
-		s.dom = event.NewDomains(geo.Subchannels+1, FrontendLatencyNs)
-		for i := range subSched {
-			subSched[i] = s.dom.Domain(i)
-		}
-		s.coreSched = s.dom.Domain(geo.Subchannels)
-		s.dom.SetHorizon(s.horizonBound)
-	} else {
-		s.eng = event.NewEngine()
-		for i := range subSched {
-			subSched[i] = s.eng
-		}
-		s.coreSched = s.eng
+	s := &System{
+		cfg: c, eng: event.NewEngine(), mapper: mapper, tparams: tparams,
+		wstats: NewWorkloadStats(geo, tparams),
+		arrQ:   make([]timeQ, geo.Subchannels),
+		delivQ: make([]timeQ, geo.Subchannels),
 	}
+	// The workload collector and the oracle observe every subchannel in
+	// one global bank namespace (subObserver offsets bank by sub*Banks).
+	var obs dram.Observer = s.wstats
 	if c.TrackSecurity {
-		// One oracle shard per subchannel. The subchannels' bank
-		// namespaces are disjoint (subObserver offsets bank by
-		// sub*Banks), so each shard sees exactly the stream a single
-		// oracle would see restricted to that subchannel, and the merge
-		// at collection is exact in both serial and sharded modes.
-		s.oracles = make([]*oracle.Oracle, geo.Subchannels)
-		for i := range s.oracles {
-			s.oracles[i] = oracle.New(c.TRH)
-		}
+		s.oracle = oracle.New(c.TRH)
+		obs = MultiObserver(s.wstats, s.oracle)
 	}
 
 	chips := 1
@@ -510,14 +451,6 @@ func NewSystem(c Config) (*System, error) {
 		if gerr != nil {
 			return nil, gerr
 		}
-		// Workload stats shard per subchannel so activation counting
-		// stays domain-local; collect() merges the disjoint shards.
-		shard := NewWorkloadStats(geo, tparams)
-		s.wstats = append(s.wstats, shard)
-		var obs dram.Observer = shard
-		if s.oracles != nil {
-			obs = MultiObserver(shard, s.oracles[sub])
-		}
 		dev, derr := dram.NewDevice(dram.Config{
 			Banks:    geo.Banks,
 			Rows:     geo.Rows,
@@ -534,7 +467,7 @@ func NewSystem(c Config) (*System, error) {
 		}
 		subCfg := mcCfg
 		subCfg.Trace = mcTrc
-		ctl, cerr := mc.New(subSched[sub], dev, subCfg)
+		ctl, cerr := mc.New(s.eng, dev, subCfg)
 		if cerr != nil {
 			return nil, cerr
 		}
@@ -548,8 +481,8 @@ func NewSystem(c Config) (*System, error) {
 	// (RunAttack) attach their own sources. An "attack:<spec>" name
 	// makes a parameterized attack pattern a first-class workload: every
 	// core replays the spec's access stream, which gives the determinism
-	// suite (and any caller) oracle-on, domains-capable attack runs
-	// through the ordinary Run path.
+	// suite (and any caller) oracle-on attack runs through the ordinary
+	// Run path.
 	if spec, isAttack := strings.CutPrefix(c.Workload, "attack:"); isAttack {
 		as, perr := workload.ParseAttackSpec(spec)
 		if perr != nil {
@@ -607,7 +540,7 @@ func callOnDone(ctx any, at int64) { ctx.(func(int64))(at) }
 // AttachCore adds an externally sourced core (e.g. a trace replay) to
 // the system and returns it.
 func (s *System) AttachCore(src cpu.Source, targetInstr int64) (*cpu.Core, error) {
-	core, err := cpu.New(s.coreSched, cpu.Config{
+	core, err := cpu.New(s.eng, cpu.Config{
 		Width: 8, ROB: 256, TargetInstr: targetInstr, Submit: s.submit,
 		OnFinish: s.coreFinished,
 		Trace:    s.coreTrack(),
@@ -635,7 +568,7 @@ func (s *System) coreFinished() { s.running-- }
 
 // addCore attaches a core fed by src to the memory system.
 func (s *System) addCore(src cpu.Source) error {
-	core, err := cpu.New(s.coreSched, cpu.Config{
+	core, err := cpu.New(s.eng, cpu.Config{
 		Width:       8,
 		ROB:         256,
 		TargetInstr: s.cfg.InstrPerCore,
@@ -660,14 +593,12 @@ const FrontendLatencyNs = 15
 // txn carries one in-flight access's completion context across the
 // controller boundary: the controller fires txnComplete at data
 // completion, which schedules the return-trip hop that finally invokes
-// the submitter's pre-bound callback. txns are allocated and recycled
-// only in the core domain (the submit and deliver sides), so the free
-// list needs no locking even in sharded mode.
+// the submitter's pre-bound callback.
 type txn struct {
 	sys  *System
 	done event.Func
 	ctx  any
-	sub  int32 // owning subchannel (domain routing for the return hop)
+	sub  int32 // owning subchannel: the return hop's source
 }
 
 func (s *System) newTxn() *txn {
@@ -679,32 +610,20 @@ func (s *System) newTxn() *txn {
 	return &txn{sys: s}
 }
 
-// txnComplete runs at data completion inside the controller's clock
-// domain and pays the controller-to-core return latency. The hop is
-// tagged with the controller's subchannel index so two completions
-// reaching the core at the same instant resolve in the same order the
-// sharded engine's barrier merge would pick.
+// txnComplete runs at data completion and pays the controller-to-core
+// return latency. The hop is sent from the controller's subchannel
+// index, so two completions reaching the cores at the same instant
+// resolve by subchannel (see event.Engine.Send).
 func txnComplete(ctx any, doneAt int64) {
 	t := ctx.(*txn)
 	q := &t.sys.delivQ[t.sub]
-	q.next(t.sys.eng.Now()) // drop fired entries (manual drivers never barrier-drain)
+	q.next(t.sys.eng.Now()) // drop fired entries (manual drivers never reach horizonBound)
 	q.push(doneAt + FrontendLatencyNs)
 	t.sys.eng.Send(int(t.sub), FrontendLatencyNs, txnDeliver, t, doneAt+FrontendLatencyNs)
 }
 
-// txnCompleteDom is txnComplete for sharded mode: it runs in the
-// subchannel's domain and ships the return hop to the core domain
-// through the barrier mailbox. The scheduling instants are identical
-// to the serial path, so the delivered schedule is too.
-func txnCompleteDom(ctx any, doneAt int64) {
-	t := ctx.(*txn)
-	s := t.sys
-	s.delivQ[t.sub].push(doneAt + FrontendLatencyNs)
-	s.dom.Domain(int(t.sub)).Send(s.coreDomID, FrontendLatencyNs, txnDeliver, t, doneAt+FrontendLatencyNs)
-}
-
 // txnDeliver hands the completed access back to its submitter and
-// recycles the txn. It always runs in the core domain.
+// recycles the txn.
 func txnDeliver(ctx any, at int64) {
 	t := ctx.(*txn)
 	s, done, dctx := t.sys, t.done, t.ctx
@@ -713,71 +632,14 @@ func txnDeliver(ctx any, at int64) {
 	done(dctx, at)
 }
 
-// packLoc squeezes a decoded bank/row/col location plus the write flag
-// into the int64 event payload, so the cross-domain arrival hop builds
-// the controller request inside the controller's own domain (pooled
-// requests never cross domains).
-func packLoc(bank, row, col int, write bool) int64 {
-	if uint(bank) >= 1<<8 || uint(row) >= 1<<32 || uint(col) >= 1<<16 {
-		panic("sim: address geometry exceeds cross-domain payload packing")
-	}
-	v := int64(row)<<25 | int64(col)<<9 | int64(bank)<<1
-	if write {
-		v |= 1
-	}
-	return v
-}
-
-// fillLoc unpacks a packLoc payload into a controller request.
-func fillLoc(r *mc.Request, v int64) {
-	r.Write = v&1 != 0
-	r.Bank = int(v >> 1 & 0xff)
-	r.Col = int(v >> 9 & 0xffff)
-	r.Row = int(v >> 25)
-}
-
-// deliverWrite is the sharded-mode arrival hop for fire-and-forget
-// writes: it runs in the subchannel's domain with the controller as
-// context.
-func deliverWrite(ctx any, arg int64) {
-	c := ctx.(*mc.Controller)
-	r := c.NewRequest()
-	fillLoc(r, arg)
-	c.Enqueue(r)
-}
-
-// deliverRead is the sharded-mode arrival hop for reads: the txn
-// carries the completion context back out through txnCompleteDom.
-func deliverRead(ctx any, arg int64) {
-	t := ctx.(*txn)
-	c := t.sys.ctrls[t.sub]
-	r := c.NewRequest()
-	fillLoc(r, arg)
-	r.Done, r.DoneCtx = txnCompleteDom, t
-	c.Enqueue(r)
-}
-
 // submit routes a physical address to its subchannel controller after
 // the core-to-controller latency; the completion pays the return trip.
 // The whole path — arrival hop, controller request, completion hop — is
-// closure-free and runs on pooled objects. In sharded mode the arrival
-// hop crosses the domain boundary through the mailbox instead of the
-// shared heap; the event instants are the same.
+// closure-free and runs on pooled objects. Arrival hops are sent from
+// the core complex, whose source index (the subchannel count) follows
+// every controller's.
 func (s *System) submit(addr int64, write bool, done event.Func, ctx any) {
 	loc := s.mapper.Decode(addr)
-	if s.dom != nil {
-		core := s.dom.Domain(int(s.coreDomID))
-		arg := packLoc(loc.Bank, loc.Row, loc.Col, write)
-		s.arrQ[loc.Sub].push(core.Now() + FrontendLatencyNs)
-		if done == nil {
-			core.Send(int32(loc.Sub), FrontendLatencyNs, deliverWrite, s.ctrls[loc.Sub], arg)
-			return
-		}
-		t := s.newTxn()
-		t.done, t.ctx, t.sub = done, ctx, int32(loc.Sub)
-		core.Send(int32(loc.Sub), FrontendLatencyNs, deliverRead, t, arg)
-		return
-	}
 	r := s.ctrls[loc.Sub].NewRequest()
 	r.Bank, r.Row, r.Col, r.Write = loc.Bank, loc.Row, loc.Col, write
 	if done != nil {
@@ -786,46 +648,25 @@ func (s *System) submit(addr int64, write bool, done event.Func, ctx any) {
 		r.Done, r.DoneCtx = txnComplete, t
 	}
 	q := &s.arrQ[loc.Sub]
-	q.next(s.eng.Now()) // drop fired entries (manual drivers never barrier-drain)
+	q.next(s.eng.Now()) // drop fired entries (manual drivers never reach horizonBound)
 	q.push(s.eng.Now() + FrontendLatencyNs)
-	s.eng.Send(int(s.coreDomID), FrontendLatencyNs, mc.EnqueueOwned, r, 0)
+	s.eng.Send(len(s.ctrls), FrontendLatencyNs, mc.EnqueueOwned, r, 0)
 }
 
-// Engine exposes the serial event engine (attack drivers and trace
-// replay advance it manually). Manual drivers only exist on coreless
-// systems, which force serial mode, so Engine is non-nil for them; it
-// returns nil on a sharded system.
+// Engine exposes the event engine (attack drivers and trace replay on
+// coreless systems advance it manually).
 func (s *System) Engine() *event.Engine { return s.eng }
 
-// DomainCount reports the number of parallel event domains the system
-// runs on (1 = serial engine).
-func (s *System) DomainCount() int {
-	if s.dom == nil {
-		return 1
-	}
-	return s.dom.N()
-}
+// Oracle returns the attached security oracle (nil unless requested).
+func (s *System) Oracle() *oracle.Oracle { return s.oracle }
 
-// Oracle returns the attached security oracle, merged across the
-// per-subchannel shards (nil unless requested). With more than one
-// shard the result is a snapshot: call it again after further events to
-// observe them. OracleActivations is the cheap way to poll progress.
-func (s *System) Oracle() *oracle.Oracle {
-	if s.oracles == nil {
-		return nil
-	}
-	return oracle.Merge(s.oracles...)
-}
-
-// OracleActivations returns the total activation count across the
-// oracle shards without merging them — the per-event polling accessor
-// attack drivers use.
+// OracleActivations returns the oracle's activation count so far (0
+// without an oracle) — the polling accessor attack drivers use.
 func (s *System) OracleActivations() int64 {
-	var n int64
-	for _, o := range s.oracles {
-		n += o.Activations()
+	if s.oracle == nil {
+		return 0
 	}
-	return n
+	return s.oracle.Activations()
 }
 
 // Controllers returns the per-subchannel controllers.
@@ -850,8 +691,8 @@ func (s *System) Run(maxNs int64) (Result, error) {
 	return s.RunContext(context.Background(), maxNs)
 }
 
-// maxEpochNs caps adaptive epochs at about a millisecond of simulated
-// time. The horizon terms keep epochs far below this in practice (a
+// maxEpochNs caps epochs at about a millisecond of simulated time.
+// The horizon terms keep epochs far below this in practice (a
 // controller always has a scheduler pass armed no later than its next
 // tREFI deadline); the cap just bounds the idle jump and keeps the
 // bound arithmetic clear of overflow when no send source is pending.
@@ -859,10 +700,10 @@ const maxEpochNs = 1 << 20
 
 // horizonBound returns the exclusive epoch bound for an epoch starting
 // at start (the earliest pending event): ES + FrontendLatencyNs, where
-// ES lower-bounds the earliest instant any component could inject a
-// cross-domain hop from the committed state. Every domain can then run
-// to the bound without hearing from its peers, because a hop sent at
-// t >= ES arrives at t + FrontendLatencyNs >= bound.
+// ES lower-bounds the earliest instant any component could send a
+// frontend hop from the current state. No hop sent inside the epoch can
+// land before the bound, because a hop sent at t >= ES arrives at
+// t + FrontendLatencyNs >= bound.
 //
 // ES is the minimum over every send source in the system:
 //
@@ -884,12 +725,11 @@ const maxEpochNs = 1 << 20
 // they are controller scheduler passes and arrival deliveries, whose
 // sends are bounded by the gap term above.
 //
-// The same function drives the serial engine's run loop, computed from
-// the same component state at the same committed instants — that keeps
-// the epoch geometry, and with it the executed event set at the final
-// barrier, byte-identical between the two engines.
+// The bounds form the epoch sequence RunContext stops on, so they fix
+// the set of events a finished run has executed, and with it TimeNs
+// and every recorded result.
 func (s *System) horizonBound(start int64) int64 {
-	now := s.nowNs()
+	now := s.eng.Now()
 	es := mc.Never
 	for _, c := range s.cores {
 		if w := c.WakeAt(); w >= 0 && w < es {
@@ -932,53 +772,33 @@ func (s *System) horizonBound(start int64) int64 {
 // cancelled run returns an error wrapping both ErrCanceled and the
 // context's cause.
 //
-// Both engines advance in adaptive epochs bounded by horizonBound, and
-// the finish condition (every core retired its target) is evaluated at
-// epoch boundaries. Epoch-aligned stopping is what makes the sharded
-// schedule reproducible on the serial engine: the set of executed
-// events is exactly "everything before the first boundary at which all
-// cores are done", independent of how work interleaves across domains
-// inside the final window — and both engines compute the identical
-// boundary sequence because horizonBound reads only component state
-// that is itself byte-identical at each barrier.
+// The engine advances in epochs bounded by horizonBound, and the
+// finish condition (every core retired its target) is evaluated at
+// epoch boundaries: a finished run has executed exactly "everything
+// before the first boundary at which all cores are done". Recorded
+// results (TimeNs included) encode this stop rule, so it must not
+// change without a result-store revision.
 func (s *System) RunContext(ctx context.Context, maxNs int64) (Result, error) {
 	if maxNs <= 0 {
 		maxNs = 1_000_000_000
 	}
 	canceled := func() (Result, error) {
-		return Result{}, fmt.Errorf("%w at t=%d ns: %w", ErrCanceled, s.nowNs(), context.Cause(ctx))
+		return Result{}, fmt.Errorf("%w at t=%d ns: %w", ErrCanceled, s.eng.Now(), context.Cause(ctx))
 	}
 	if ctx.Err() != nil {
 		return canceled()
 	}
 	steps := 0
-	if s.dom != nil {
-		defer s.dom.Shutdown()
-		for s.running > 0 {
-			at, ok := s.dom.NextAt()
-			if !ok || at >= maxNs {
-				break
-			}
-			n, _ := s.dom.RunEpoch()
-			if steps += n; steps >= cancelCheckEvents {
-				steps = 0
-				if ctx.Err() != nil {
-					return canceled()
-				}
-			}
+	for s.running > 0 {
+		at, ok := s.eng.NextAt()
+		if !ok || at >= maxNs {
+			break
 		}
-	} else {
-		for s.running > 0 {
-			at, ok := s.eng.NextAt()
-			if !ok || at >= maxNs {
-				break
-			}
-			steps += s.eng.RunUntil(s.horizonBound(at) - 1)
-			if steps >= cancelCheckEvents {
-				steps = 0
-				if ctx.Err() != nil {
-					return canceled()
-				}
+		steps += s.eng.RunUntil(s.horizonBound(at) - 1)
+		if steps >= cancelCheckEvents {
+			steps = 0
+			if ctx.Err() != nil {
+				return canceled()
 			}
 		}
 	}
@@ -989,7 +809,7 @@ func (s *System) RunContext(ctx context.Context, maxNs int64) (Result, error) {
 }
 
 func (s *System) collect() Result {
-	res := Result{Config: s.cfg, TimeNs: s.nowNs(), Oracle: s.Oracle()}
+	res := Result{Config: s.cfg, TimeNs: s.eng.Now(), Oracle: s.oracle}
 	for _, c := range s.cores {
 		ipc := c.IPC()
 		res.IPC = append(res.IPC, ipc)
@@ -1045,7 +865,7 @@ func (s *System) collect() Result {
 		lat.Merge(ctl.LatencyHistogram())
 	}
 	res.Latency = lat.Snapshot()
-	res.Workload = SnapshotShards(s.nowNs(), s.wstats)
+	res.Workload = s.wstats.Snapshot(s.eng.Now())
 	return res
 }
 

@@ -147,13 +147,10 @@ type track struct {
 }
 
 // Tracer collects trace records for one simulation run. Emit is safe
-// to call from the sharded engine's concurrent domains: a single mutex
-// serialises record appends, and every aggregate it guards (per-kind
-// counts, histogram buckets) is commutative, while each ring only ever
-// receives records from the one domain its component lives on — so a
-// traced sharded run digests identically to the serial run. Everything
-// else (NewTrack, Reset, the read-out surface) is call-after-run and
-// stays single-goroutine.
+// for concurrent use: a single mutex serialises record appends, and
+// every aggregate it guards (per-kind counts, histogram buckets) is
+// commutative. Everything else (NewTrack, Reset, the read-out surface)
+// is call-after-run and stays single-goroutine.
 type Tracer struct {
 	mu     sync.Mutex
 	opts   Options
