@@ -17,7 +17,9 @@
 // receiver and an int64 payload without allocating a closure. Cancelled
 // events are dropped lazily on pop and compacted wholesale when they
 // outnumber live ones, so cancel-heavy workloads (controller wake
-// coalescing, core wake-ups) do not bloat the queue.
+// coalescing, core wake-ups) do not bloat the queue. Modelled
+// fixed-latency hops bypass the heap entirely: each source sends on its
+// own FIFO Link, whose entries already arrive in order (see link.go).
 package event
 
 // Handler is a callback invoked when its event fires. The engine's clock
@@ -53,11 +55,11 @@ const idxBits = 20
 
 const idxMask = 1<<idxBits - 1
 
-// crossBit marks an entry scheduled through Send — a modelled
-// fixed-latency hop between components. It sits above the source and
-// sequence fields so that at equal (at, birth) every locally scheduled
-// event precedes every hop: a component's own reaction to an instant
-// settles before any message sent to it at that instant is delivered.
+// crossBit marks a hop sent on a Link — a modelled fixed-latency hop
+// between components. It sits above the source and sequence fields so
+// that at equal (at, birth) every locally scheduled event precedes
+// every hop: a component's own reaction to an instant settles before
+// any message sent to it at that instant is delivered.
 const crossBit = uint64(1) << 63
 
 // srcBits is the key space for a hop's source index, directly below
@@ -68,14 +70,15 @@ const crossBit = uint64(1) << 63
 const (
 	srcBits  = 6
 	srcShift = 63 - srcBits
-	// MaxHopSources bounds the source indices Send accepts.
+	// MaxHopSources bounds the source indices NewLink accepts.
 	MaxHopSources = 1 << srcBits
 )
 
-// heapEntry is one priority-queue element: the (at, birth, key) sort
-// key inline plus the pool slot it refers to. key holds
-// cross | src<<srcShift | seq<<idxBits | idx; seq is unique, so
-// comparing keys orders by (cross, src, seq).
+// heapEntry is one (at, birth, key) sort key: the element of the heap
+// and the now-queue, and the form a link's head takes in the merge.
+// A scheduled event's key holds seq<<idxBits | idx, with seq unique; a
+// hop's key is its link's crossBit | src<<srcShift. Comparing keys
+// therefore orders by (cross, src, seq).
 type heapEntry struct {
 	at    int64
 	birth int64 // engine time when the event was scheduled
@@ -89,7 +92,7 @@ func (e heapEntry) idx() int32 { return int32(e.key & idxMask) }
 // sender, then scheduling (FIFO) order. Birth never disagrees with seq
 // (the clock is monotone, so later-scheduled events are never
 // younger), so for purely local schedules this is the classic
-// (at, seq) FIFO; the cross and src terms only reorder hops (see Send).
+// (at, seq) FIFO; the cross and src terms only reorder hops (see Link).
 func (a heapEntry) before(b heapEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -146,12 +149,13 @@ const arity = 4
 // call NewEngine.
 type Engine struct {
 	items []item      // slot pool; heap and free reference it by index
-	heap  []heapEntry // 4-ary min-heap ordered by (at, seq)
+	heap  []heapEntry // 4-ary min-heap ordered by (at, birth, seq)
 	free  []int32     // released slots available for reuse
+	links []*Link     // hop FIFOs, merged by head (see link.go)
 	now   int64
 	seq   uint64
 	fire  uint64
-	live  int // scheduled, not cancelled, not fired
+	live  int // scheduled or sent, not cancelled, not fired
 	dead  int // cancelled but still occupying a heap entry
 
 	// nowQ holds local events scheduled at the current instant — the
@@ -159,12 +163,12 @@ type Engine struct {
 	// that bypasses the heap. Correctness: such an entry has
 	// (at, birth) = (now, now) and no cross bit, so it is ordered
 	// after every heap entry at the same instant born earlier and
-	// before every cross hop at the same (at, birth); among
-	// themselves FIFO entries fire in seq (append) order. The clock
-	// cannot pass an entry's instant while it is live (all live
-	// events at or before the clock fire first), so the queue is
-	// sorted by the same (at, birth, key) relation the heap uses and
-	// a two-way merge on pop preserves the engine's total order.
+	// before every hop at the same (at, birth); among themselves
+	// FIFO entries fire in seq (append) order. The clock cannot pass
+	// an entry's instant while it is live (all live events at or
+	// before the clock fire first), so the queue is sorted by the
+	// same (at, birth, key) relation the heap uses and merging its
+	// head on pop preserves the engine's total order.
 	nowQ    []heapEntry
 	nowHead int
 }
@@ -178,7 +182,7 @@ func (e *Engine) Now() int64 { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fire }
 
-// Pending returns the number of events still scheduled to fire.
+// Pending returns the number of events and link hops still to fire.
 // Cancelled events are excluded even while they await compaction.
 func (e *Engine) Pending() int { return e.live }
 
@@ -221,41 +225,20 @@ func (e *Engine) AtFunc(t int64, fn Func, ctx any, arg int64) Token {
 	if fn == nil {
 		panic("event: nil handler")
 	}
-	return e.schedule(t, 0, fn, ctx, arg)
+	return e.schedule(t, fn, ctx, arg)
 }
 
-// Send schedules fn(ctx, arg) d nanoseconds from now as a modelled hop
-// from the sender src: at equal (at, birth) it fires after every
-// locally scheduled event, and hops from different senders resolve by
-// src, then per-sender send order. The simulation layer uses it for
-// the frontend hops (core→controller arrival, controller→core
-// completion), with src the sending subchannel's index, or the
-// subchannel count for the core complex. The tie-break is part of the
-// model: recorded results depend on it, so it must not change.
-func (e *Engine) Send(src int, d int64, fn Func, ctx any, arg int64) Token {
-	if d < 0 {
-		panic("event: negative hop delay")
-	}
-	if src < 0 || src >= MaxHopSources {
-		panic("event: hop source out of range")
-	}
-	if fn == nil {
-		panic("event: nil handler")
-	}
-	return e.schedule(e.now+d, crossBit|uint64(src)<<srcShift, fn, ctx, arg)
-}
-
-func (e *Engine) schedule(t int64, cross uint64, fn Func, ctx any, arg int64) Token {
+func (e *Engine) schedule(t int64, fn Func, ctx any, arg int64) Token {
 	if e.seq > 1<<(srcShift-idxBits)-1 {
 		panic("event: sequence space exhausted")
 	}
 	idx := e.alloc()
 	it := &e.items[idx]
 	it.fn, it.ctx, it.arg = fn, ctx, arg
-	ent := heapEntry{at: t, birth: e.now, key: cross | e.seq<<idxBits | uint64(idx)}
+	ent := heapEntry{at: t, birth: e.now, key: e.seq<<idxBits | uint64(idx)}
 	e.seq++
 	e.live++
-	if t == e.now && cross == 0 {
+	if t == e.now {
 		if e.nowHead == len(e.nowQ) {
 			e.nowQ = e.nowQ[:0]
 			e.nowHead = 0
@@ -268,16 +251,18 @@ func (e *Engine) schedule(t int64, cross uint64, fn Func, ctx any, arg int64) To
 	return Token{e, idx, it.gen}
 }
 
-// Entry sources reported by peekLive.
+// Entry sources reported by peekLive; link i reports fromLink+i.
 const (
 	fromNone = iota
 	fromHeap
 	fromNowQ
+	fromLink
 )
 
-// peekLive prunes cancelled entries off both queue fronts and returns
+// peekLive prunes cancelled entries off the queue fronts and returns
 // the next live entry in (at, birth, key) order plus which structure
-// holds it; fromNone when the engine is drained.
+// holds it; fromNone when the engine is drained. Each structure is
+// sorted by that order, so comparing the heads merges them exactly.
 func (e *Engine) peekLive() (heapEntry, int) {
 	for e.nowHead < len(e.nowQ) {
 		ent := e.nowQ[e.nowHead]
@@ -297,35 +282,52 @@ func (e *Engine) peekLive() (heapEntry, int) {
 		e.release(ent.idx())
 		e.dead--
 	}
-	hasNow := e.nowHead < len(e.nowQ)
-	switch {
-	case hasNow && (len(e.heap) == 0 || e.nowQ[e.nowHead].before(e.heap[0])):
-		return e.nowQ[e.nowHead], fromNowQ
-	case len(e.heap) > 0:
-		return e.heap[0], fromHeap
+	best, from := heapEntry{}, fromNone
+	if e.nowHead < len(e.nowQ) {
+		best, from = e.nowQ[e.nowHead], fromNowQ
 	}
-	return heapEntry{}, fromNone
+	if len(e.heap) > 0 && (from == fromNone || e.heap[0].before(best)) {
+		best, from = e.heap[0], fromHeap
+	}
+	for i, l := range e.links {
+		if l.n == 0 {
+			continue
+		}
+		h := &l.ring[l.head]
+		if ent := (heapEntry{at: h.at, birth: h.birth, key: l.key}); from == fromNone || ent.before(best) {
+			best, from = ent, fromLink+i
+		}
+	}
+	return best, from
 }
 
-// popFrom removes the entry peekLive reported from its structure.
-func (e *Engine) popFrom(src int) {
-	if src == fromNowQ {
+// pop removes the entry peekLive reported from its structure and
+// returns its handler.
+func (e *Engine) pop(ent heapEntry, from int) (Func, any, int64) {
+	switch {
+	case from >= fromLink:
+		return e.links[from-fromLink].pop()
+	case from == fromNowQ:
 		e.nowHead++
 		if e.nowHead == len(e.nowQ) {
 			e.nowQ = e.nowQ[:0]
 			e.nowHead = 0
 		}
-		return
+	default:
+		e.popRoot()
 	}
-	e.popRoot()
+	it := &e.items[ent.idx()]
+	fn, ctx, arg := it.fn, it.ctx, it.arg
+	e.release(ent.idx())
+	return fn, ctx, arg
 }
 
 // NextAt returns the timestamp of the next live event without running
 // it, pruning cancelled entries from the queue fronts on the way. The
 // second return is false when no live events remain.
 func (e *Engine) NextAt() (int64, bool) {
-	ent, src := e.peekLive()
-	if src == fromNone {
+	ent, from := e.peekLive()
+	if from == fromNone {
 		return 0, false
 	}
 	return ent.at, true
@@ -424,14 +426,11 @@ func (e *Engine) compact() {
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It returns false when the queue is empty.
 func (e *Engine) Step() bool {
-	ent, src := e.peekLive()
-	if src == fromNone {
+	ent, from := e.peekLive()
+	if from == fromNone {
 		return false
 	}
-	e.popFrom(src)
-	it := &e.items[ent.idx()]
-	fn, ctx, arg := it.fn, it.ctx, it.arg
-	e.release(ent.idx())
+	fn, ctx, arg := e.pop(ent, from)
 	e.live--
 	e.now = ent.at
 	e.fire++
@@ -446,14 +445,11 @@ func (e *Engine) RunUntil(deadline int64) int {
 	n := 0
 	for {
 		// Peek without popping so an over-deadline event stays queued.
-		ent, src := e.peekLive()
-		if src == fromNone || ent.at > deadline {
+		ent, from := e.peekLive()
+		if from == fromNone || ent.at > deadline {
 			break
 		}
-		e.popFrom(src)
-		it := &e.items[ent.idx()]
-		fn, ctx, arg := it.fn, it.ctx, it.arg
-		e.release(ent.idx())
+		fn, ctx, arg := e.pop(ent, from)
 		e.live--
 		e.now = ent.at
 		e.fire++

@@ -259,25 +259,30 @@ func TestZeroTokenCancel(t *testing.T) {
 	tok.Cancel()
 }
 
-// TestSendTieBreak pins Send's ordering at one instant: among events
-// born at the same time, local events fire before hops, hops fire by
-// sender index, and one sender's hops fire in send order; an event
-// born earlier fires before one born later whatever their kinds and
-// senders.
+// TestSendTieBreak pins the link ordering at one instant: among
+// events born at the same time, local events fire before hops, hops
+// fire by sender index, and one sender's hops fire in send order; an
+// event born earlier fires before one born later whatever their kinds
+// and senders. The links are created out of source order, so only the
+// src term (not creation order) can put them in order.
 func TestSendTieBreak(t *testing.T) {
 	e := NewEngine()
 	var got []string
 	rec := func(ctx any, _ int64) { got = append(got, ctx.(string)) }
+	l2 := e.NewLink(2, 10)
+	l0 := e.NewLink(0, 10)
+	l1 := e.NewLink(1, 10)
+	y0 := e.NewLink(3, 5)
 	e.At(5, func() {
 		e.AtFunc(10, rec, "young-local", 0)
-		e.Send(0, 5, rec, "young-hop-src0", 0)
+		y0.Send(rec, "young-hop-src3", 0)
 	})
-	e.Send(2, 10, rec, "hop-src2-a", 0)
-	e.Send(0, 10, rec, "hop-src0", 0)
+	l2.Send(rec, "hop-src2-a", 0)
+	l0.Send(rec, "hop-src0", 0)
 	e.AtFunc(10, rec, "local-a", 0)
-	e.Send(1, 10, rec, "hop-src1-a", 0)
-	e.Send(2, 10, rec, "hop-src2-b", 0)
-	e.Send(1, 10, rec, "hop-src1-b", 0)
+	l1.Send(rec, "hop-src1-a", 0)
+	l2.Send(rec, "hop-src2-b", 0)
+	l1.Send(rec, "hop-src1-b", 0)
 	e.AtFunc(10, rec, "local-b", 0)
 	for e.Step() {
 	}
@@ -286,7 +291,7 @@ func TestSendTieBreak(t *testing.T) {
 		"hop-src0",
 		"hop-src1-a", "hop-src1-b",
 		"hop-src2-a", "hop-src2-b",
-		"young-local", "young-hop-src0",
+		"young-local", "young-hop-src3",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("fire order\n got: %v\nwant: %v", got, want)
@@ -317,6 +322,174 @@ func BenchmarkEngineCancelHeavy(b *testing.B) {
 		tok := e.AfterFunc(100, nop, nil, 0)
 		tok.Cancel()
 		e.AfterFunc(1, nop, nil, 0)
+		e.Step()
+	}
+}
+
+// TestLinkPushOutOfOrderPanics checks both ways a link push can go
+// backwards in time: departing before the clock, and departing before
+// the link's previous (deferred) departure.
+func TestLinkPushOutOfOrderPanics(t *testing.T) {
+	nop := func(any, int64) {}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: expected panic", name)
+			}
+		}()
+		f()
+	}
+	e := NewEngine()
+	l := e.NewLink(0, 5)
+	e.At(10, func() {})
+	e.Step()
+	mustPanic("depart before now", func() { l.SendAt(9, nop, nil, 0) })
+	l.SendAt(20, nop, nil, 0)
+	mustPanic("depart before previous departure", func() { l.SendAt(19, nop, nil, 0) })
+	mustPanic("send now behind a deferred hop", func() { l.Send(nop, nil, 0) })
+	mustPanic("duplicate source", func() { e.NewLink(0, 1) })
+	mustPanic("source out of range", func() { e.NewLink(MaxHopSources, 1) })
+}
+
+// refEvent is one pending entry of the reference model: the engine's
+// documented total order is (at, birth, cross, src, seq).
+type refEvent struct {
+	at, birth  int64
+	cross, src int
+	seq        int
+	id         int64
+}
+
+func (a refEvent) less(b refEvent) bool {
+	switch {
+	case a.at != b.at:
+		return a.at < b.at
+	case a.birth != b.birth:
+		return a.birth < b.birth
+	case a.cross != b.cross:
+		return a.cross < b.cross
+	case a.src != b.src:
+		return a.src < b.src
+	}
+	return a.seq < b.seq
+}
+
+// TestEventOrderMatchesReference drives one engine with a random mix of
+// local events (at-now included), cancellations, and link hops that
+// depart now or later, from several sources with different latencies
+// so that landings collide. Every handler checks that it is the minimum
+// of a naive sorted-list model of the pending set, then schedules more
+// work on both the engine and the model.
+func TestEventOrderMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 300; seed++ {
+		checkOrderAgainstReference(t, seed)
+	}
+}
+
+func checkOrderAgainstReference(t *testing.T, seed uint64) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(seed, 0xe7))
+	e := NewEngine()
+	lats := []int64{0, 1, 3, 3}
+	var links []*Link
+	var srcs []int
+	var lastDepart []int64
+	for i, src := range rng.Perm(len(lats)) {
+		links = append(links, e.NewLink(src, lats[i]))
+		srcs = append(srcs, src)
+		lastDepart = append(lastDepart, 0)
+	}
+	type local struct {
+		id  int64
+		tok Token
+	}
+	var (
+		ref    []refEvent
+		locals []local
+		seq    int
+		nextID int64
+		fired  int
+		failed bool
+	)
+	const budget = 400
+	var handler Func
+	act := func() {
+		now := e.Now()
+		for k := rng.IntN(4); k > 0; k-- {
+			id := nextID
+			nextID++
+			seq++
+			switch r := rng.IntN(10); {
+			case r < 4:
+				at := now + int64(rng.IntN(4)) // rng 0: at-now, the now-queue path
+				locals = append(locals, local{id, e.AtFunc(at, handler, nil, id)})
+				ref = append(ref, refEvent{at: at, birth: now, seq: seq, id: id})
+			case r < 8:
+				i := rng.IntN(len(links))
+				depart := max(now, lastDepart[i])
+				if r >= 6 {
+					depart += int64(rng.IntN(4)) // deferred departure
+				}
+				if depart == now {
+					links[i].Send(handler, nil, id)
+				} else {
+					links[i].SendAt(depart, handler, nil, id)
+				}
+				lastDepart[i] = depart
+				ref = append(ref, refEvent{at: depart + lats[i], birth: depart, cross: 1, src: srcs[i], seq: seq, id: id})
+			default:
+				if len(locals) == 0 {
+					continue
+				}
+				// May hit an already fired or cancelled event: a no-op
+				// on both sides.
+				v := locals[rng.IntN(len(locals))]
+				v.tok.Cancel()
+				ref = slices.DeleteFunc(ref, func(r refEvent) bool { return r.id == v.id })
+			}
+		}
+	}
+	handler = func(_ any, arg int64) {
+		if failed {
+			return
+		}
+		m := 0
+		for i := range ref {
+			if ref[i].less(ref[m]) {
+				m = i
+			}
+		}
+		if len(ref) == 0 || ref[m].id != arg || ref[m].at != e.Now() {
+			failed = true
+			t.Errorf("seed %d: event %d fired at %d after %d events; reference expects %+v", seed, arg, e.Now(), fired, ref[m])
+			return
+		}
+		ref = slices.Delete(ref, m, m+1)
+		fired++
+		if fired < budget {
+			act()
+		}
+	}
+	for k := 0; k < 8; k++ {
+		act()
+	}
+	for e.Step() {
+	}
+	if !failed && (len(ref) != 0 || e.Pending() != 0) {
+		t.Errorf("seed %d: drained engine with %d reference events and Pending = %d left", seed, len(ref), e.Pending())
+	}
+}
+
+// BenchmarkEngineLinkHop is one hop through a link: a send plus its
+// fire, with no allocation once the ring has its capacity.
+func BenchmarkEngineLinkHop(b *testing.B) {
+	e := NewEngine()
+	l := e.NewLink(0, 15)
+	nop := func(any, int64) {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l.Send(nop, nil, 0)
 		e.Step()
 	}
 }

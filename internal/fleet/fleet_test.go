@@ -194,16 +194,28 @@ func TestFleetAffinityAndByteIdentity(t *testing.T) {
 	}
 }
 
-// abortOnce aborts the connection of the first dispatched job — a
-// worker dying mid-run, deterministically.
-func abortOnce(next http.Handler) http.Handler {
-	var fired atomic.Bool
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/jobs") && fired.CompareAndSwap(false, true) {
-			panic(http.ErrAbortHandler)
-		}
-		next.ServeHTTP(w, r)
-	})
+// crash stops the worker's heartbeats without deregistering, as a
+// process death would: once it returns, no beat is in flight and none
+// follows, so only the coordinator can take the worker off the ring.
+func (w *testWorker) crash() {
+	close(w.agent.stop)
+	<-w.agent.done
+}
+
+// dieOnFirstJob makes the worker behind *w die mid-run on its first
+// dispatched job, deterministically: its heartbeats stop (crash), then
+// the job's connection aborts.
+func dieOnFirstJob(w *atomic.Pointer[testWorker]) func(http.Handler) http.Handler {
+	return func(next http.Handler) http.Handler {
+		var fired atomic.Bool
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/jobs") && fired.CompareAndSwap(false, true) {
+				w.Load().crash()
+				panic(http.ErrAbortHandler)
+			}
+			next.ServeHTTP(rw, r)
+		})
+	}
 }
 
 // TestFleetFailover kills the primary mid-job and expects the
@@ -220,7 +232,8 @@ func TestFleetFailover(t *testing.T) {
 		coord.Close()
 	})
 	f := &testFleet{coord: coord, coordTS: coordTS}
-	f.addWorker(t, abortOnce) // worker-0 aborts its first job
+	var faulty atomic.Pointer[testWorker]
+	faulty.Store(f.addWorker(t, dieOnFirstJob(&faulty))) // worker-0 dies on its first job
 	f.addWorker(t, nil)
 	f.waitWorkers(t, 2)
 

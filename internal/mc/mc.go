@@ -62,10 +62,14 @@ type Request struct {
 	// OnDone, if non-nil, runs when the data transfer completes.
 	OnDone func(doneAt int64)
 	// Done/DoneCtx are the pre-bound completion form used by the hot
-	// path: Done(DoneCtx, doneAt) is scheduled at data completion
-	// without allocating a closure. Done takes precedence over OnDone.
+	// path: Done(DoneCtx, t) runs at instant t without allocating a
+	// closure. Without a Link, t is the data-completion time; with one,
+	// the completion departs on Link at data completion and t is its
+	// landing time, so the return trip costs one event. Done takes
+	// precedence over OnDone.
 	Done    event.Func
 	DoneCtx any
+	Link    *event.Link
 
 	causedACT bool        // this request forced the row activation
 	pooled    bool        // allocated from a controller's free list
@@ -74,8 +78,8 @@ type Request struct {
 
 // EnqueueOwned is an event.Func that enqueues a pooled Request into the
 // controller it was allocated from. Callers that pay a fixed frontend
-// delay before arrival schedule it with Engine.AfterFunc and the request
-// as context, keeping the deferred-arrival path closure-free.
+// delay before arrival send it on an event.Link with the request as
+// context, keeping the deferred-arrival path closure-free.
 func EnqueueOwned(ctx any, _ int64) {
 	r := ctx.(*Request)
 	r.ctl.Enqueue(r)
@@ -140,15 +144,13 @@ type Controller struct {
 	rng *rand.Rand
 
 	// Per-bank queues in struct-of-arrays form: the scheduler's hot
-	// scans (row-hit matching, oldest-request selection) touch only the
-	// small parallel int slices, never the request payload. Payloads
-	// live in the slots arena, addressed by index; queue removal is
-	// swap-remove, with FIFO age carried by the seq stamps instead of
-	// by position.
+	// scans (row-hit matching) touch only the small parallel int
+	// slices, never the request payload. Payloads live in the slots
+	// arena, addressed by index. Queues stay in arrival order (removal
+	// shifts the tail down), so position is age.
 	queues    []bankQ
 	slots     []reqSlot // request-payload arena
 	freeSlots []int32   // recycled arena indices
-	seq       int64     // next arrival-order stamp
 
 	cuBit     []bool  // MoPAC-C: close current row with PREcu
 	lastUse   []int64 // last column access per bank (timeout policy)
@@ -196,16 +198,6 @@ type Controller struct {
 	sleepMask uint64
 	sleepMin  int64
 
-	// doneQ holds the fire times of pending completion callbacks in
-	// FIFO order. The data bus serialises transfers, so completion
-	// times are strictly increasing and a ring suffices; NextSendAt
-	// drains entries the clock has passed. This is the controller's
-	// contribution to the sim layer's adaptive epoch horizon: a
-	// completion event is the only controller-side event that injects
-	// work back toward the cores.
-	doneQ     []int64
-	doneQHead int
-
 	freeReq []*Request // recycled pooled requests
 
 	trc *telemetry.MCTracks
@@ -214,30 +206,27 @@ type Controller struct {
 	latency stats.Histogram
 }
 
-// bankQ is one bank's request queue in struct-of-arrays layout. The
-// three slices are parallel: entry i targets row[i], arrived with
-// age stamp seq[i], and keeps its payload in slots[idx[i]].
+// bankQ is one bank's request queue in struct-of-arrays layout, in
+// arrival order. The two slices are parallel: entry i targets row[i]
+// and keeps its payload in slots[idx[i]].
 type bankQ struct {
 	row []int32
-	seq []int64
 	idx []int32
 }
 
-// newBankQs carves every bank's initial queue capacity out of three
-// shared backing arrays, so construction costs three allocations
-// instead of three per bank. A queue that outgrows its carve is moved
+// newBankQs carves every bank's initial queue capacity out of two
+// shared backing arrays, so construction costs two allocations instead
+// of two per bank. A queue that outgrows its carve is moved
 // to its own array by append, which is correct and rare: per-bank
 // depth is bounded in practice by the cores' miss windows.
 func newBankQs(banks int) []bankQ {
 	const depth = 12
 	rows := make([]int32, banks*depth)
-	seqs := make([]int64, banks*depth)
 	idxs := make([]int32, banks*depth)
 	qs := make([]bankQ, banks)
 	for b := range qs {
 		lo, hi := b*depth, (b+1)*depth
 		qs[b].row = rows[lo:lo:hi]
-		qs[b].seq = seqs[lo:lo:hi]
 		qs[b].idx = idxs[lo:lo:hi]
 	}
 	return qs
@@ -250,6 +239,7 @@ type reqSlot struct {
 	arrive    int64
 	done      event.Func
 	doneCtx   any
+	link      *event.Link
 	onDone    func(int64)
 	col       int32
 	write     bool
@@ -375,15 +365,13 @@ func (c *Controller) Enqueue(r *Request) {
 	si := c.allocSlot()
 	s := &c.slots[si]
 	s.arrive = now
-	s.done, s.doneCtx = r.Done, r.DoneCtx
+	s.done, s.doneCtx, s.link = r.Done, r.DoneCtx, r.Link
 	s.onDone = r.OnDone
 	s.col = int32(r.Col)
 	s.write = r.Write
 	q := &c.queues[r.Bank]
 	q.row = append(q.row, int32(r.Row))
-	q.seq = append(q.seq, c.seq)
 	q.idx = append(q.idx, si)
-	c.seq++
 	c.active |= 1 << uint(r.Bank)
 	c.pending++
 	if c.trc != nil {
@@ -422,43 +410,32 @@ func controllerTick(ctx any, _ int64) {
 
 // pick returns the queue position of the FR-FCFS choice for a bank:
 // the oldest row hit if the bank has that row open, otherwise the
-// oldest request; -1 on an empty queue. Age is the seq stamp (the
-// queue is swap-removed, so position carries no order). With
-// MaxHitStreak set, a long run of hits served over an older waiting
-// request eventually yields to the oldest (starvation protection).
+// oldest request; -1 on an empty queue. The queue is in arrival order,
+// so the oldest request is at 0 and the first row match is the oldest
+// hit. With MaxHitStreak set, a long run of hits served over an older
+// waiting request eventually yields to the oldest (starvation
+// protection).
 func (c *Controller) pick(bank int) int {
 	q := &c.queues[bank]
-	n := len(q.seq)
-	if n == 0 {
+	if len(q.row) == 0 {
 		return -1
 	}
-	if n == 1 {
+	open := int32(c.dev.OpenRow(bank))
+	if open < 0 {
 		return 0
 	}
-	open := c.dev.OpenRow(bank)
-	oldest, hit := 0, -1
-	if open >= 0 && int(q.row[0]) == open {
-		hit = 0
-	}
-	for i := 1; i < n; i++ {
-		if q.seq[i] < q.seq[oldest] {
-			oldest = i
+	for i, r := range q.row {
+		if r != open {
+			continue
 		}
-		if int(q.row[i]) == open && (hit < 0 || q.seq[i] < q.seq[hit]) {
-			hit = i
+		if i != 0 && c.cfg.MaxHitStreak > 0 && c.hitStreak[bank] >= c.cfg.MaxHitStreak {
+			// The oldest request has waited through a full streak of
+			// younger hits: let it win.
+			return 0
 		}
+		return i
 	}
-	if open >= 0 {
-		if hit >= 0 {
-			if hit != oldest && c.cfg.MaxHitStreak > 0 && c.hitStreak[bank] >= c.cfg.MaxHitStreak {
-				// The oldest request has waited through a full streak
-				// of younger hits: let it win.
-				return oldest
-			}
-			return hit
-		}
-	}
-	return oldest
+	return 0
 }
 
 // draining reports whether the controller is closing banks for REF/RFM
@@ -776,8 +753,8 @@ func (c *Controller) issueBank(now int64, bank int) bool {
 }
 
 // completeRead accounts the serviced request at queue position pos of
-// bank, removes it (swap-remove), schedules its completion callback,
-// and recycles its arena slot.
+// bank, removes it (keeping arrival order), hands its completion to the
+// engine, and recycles its arena slot.
 func (c *Controller) completeRead(bank, pos int, doneAt int64) {
 	q := &c.queues[bank]
 	si := q.idx[pos]
@@ -786,24 +763,16 @@ func (c *Controller) completeRead(bank, pos int, doneAt int64) {
 
 	// Hit-streak accounting: serving anything but the oldest waiting
 	// request extends the streak.
-	oldestSeq := q.seq[0]
-	for _, sq := range q.seq[1:] {
-		if sq < oldestSeq {
-			oldestSeq = sq
-		}
-	}
-	if q.seq[pos] != oldestSeq {
+	if pos != 0 {
 		c.hitStreak[bank]++
 	} else {
 		c.hitStreak[bank] = 0
 	}
 
-	last := len(q.seq) - 1
-	q.row[pos] = q.row[last]
-	q.seq[pos] = q.seq[last]
-	q.idx[pos] = q.idx[last]
+	last := len(q.row) - 1
+	copy(q.row[pos:], q.row[pos+1:])
+	copy(q.idx[pos:], q.idx[pos+1:])
 	q.row = q.row[:last]
-	q.seq = q.seq[:last]
 	q.idx = q.idx[:last]
 	c.pending--
 
@@ -830,48 +799,22 @@ func (c *Controller) completeRead(bank, pos int, doneAt int64) {
 		c.trc.QueueDepth(c.eng.Now(), c.pending)
 	}
 	switch {
+	case s.done != nil && s.link != nil:
+		s.link.SendAt(doneAt, s.done, s.doneCtx, doneAt+s.link.Latency())
 	case s.done != nil:
 		c.eng.AtFunc(doneAt, s.done, s.doneCtx, doneAt)
-		c.pushDone(doneAt)
 	case s.onDone != nil:
 		done := s.onDone
 		c.eng.At(doneAt, func() { done(doneAt) })
-		c.pushDone(doneAt)
 	}
 	c.freeSlot(si)
-}
-
-// pushDone records a scheduled completion-callback fire time. The
-// ring's storage is reclaimed whenever the head catches up, so steady
-// state allocates nothing.
-func (c *Controller) pushDone(at int64) {
-	if c.doneQHead == len(c.doneQ) {
-		c.doneQ = c.doneQ[:0]
-		c.doneQHead = 0
-	}
-	c.doneQ = append(c.doneQ, at)
-}
-
-// NextSendAt returns the fire time of the earliest pending completion
-// callback strictly after now, dropping entries the clock has passed
-// (their events have fired: the controller executes in time order).
-// Returns Never when no completion is pending. now must not decrease
-// across calls.
-func (c *Controller) NextSendAt(now int64) int64 {
-	for c.doneQHead < len(c.doneQ) && c.doneQ[c.doneQHead] <= now {
-		c.doneQHead++
-	}
-	if c.doneQHead == len(c.doneQ) {
-		return Never
-	}
-	return c.doneQ[c.doneQHead]
 }
 
 // TickAt returns the instant of the controller's pending scheduler
 // pass. Outside a running pass there is always one armed (protocol
 // deadlines guarantee it), so this is the earliest time the controller
-// can begin new work — together with NextSendAt it feeds the sim
-// layer's adaptive epoch horizon.
+// can begin new work — with MinSchedGap it feeds the sim layer's
+// epoch horizon.
 func (c *Controller) TickAt() int64 {
 	if c.tickAt < 0 {
 		return Never
@@ -891,7 +834,7 @@ func (c *Controller) MinSchedGap() int64 {
 	return gap + c.cfg.Timing.TBURST
 }
 
-// Never is NextSendAt/TickAt's "no pending instant" sentinel.
+// Never is TickAt's "no pending instant" sentinel.
 const Never int64 = 1<<63 - 1
 
 // anyHit reports whether any queued request targets row in bank.

@@ -234,46 +234,16 @@ type System struct {
 	oracle  *oracle.Oracle // nil unless Config.TrackSecurity
 	wstats  *WorkloadStats
 	tparams timing.Params
-	freeTxn []*txn // recycled completion contexts
-	running int    // cores that have not yet retired their target
+	running int // cores that have not yet retired their target
 
-	// Epoch-horizon state (see horizonBound): per-subchannel queues of
-	// pending frontend-hop delivery instants, and the controllers'
-	// minimum issue-to-completion gap. arrQ tracks core->controller
-	// arrival hops (pushed in submit); delivQ tracks controller->core
-	// completion hops (pushed in txnComplete).
-	arrQ   []timeQ
-	delivQ []timeQ
+	// Frontend hops (FrontendLatencyNs each way): one arrival link from
+	// the core complex (source index = subchannel count, after every
+	// controller's) and one return link per subchannel (source index =
+	// subchannel). gap is the controllers' shared minimum
+	// issue-to-completion delay. horizonBound reads all three.
+	arrive *event.Link
+	ret    []*event.Link
 	gap    int64
-}
-
-// timeQ is a FIFO of future event instants. One queue's hops all pay
-// the same fixed latency and are scheduled in clock order, so a ring
-// with a head cursor suffices; storage is reclaimed whenever the head
-// catches up, keeping the steady state allocation-free.
-type timeQ struct {
-	q    []int64
-	head int
-}
-
-func (t *timeQ) push(at int64) {
-	if t.head == len(t.q) {
-		t.q = t.q[:0]
-		t.head = 0
-	}
-	t.q = append(t.q, at)
-}
-
-// next drops entries at or before the committed time now (their events
-// have fired) and returns the earliest pending instant, or mc.Never.
-func (t *timeQ) next(now int64) int64 {
-	for t.head < len(t.q) && t.q[t.head] <= now {
-		t.head++
-	}
-	if t.head == len(t.q) {
-		return mc.Never
-	}
-	return t.q[t.head]
 }
 
 // designParams derives the security parameters and timing/controller
@@ -367,8 +337,6 @@ func NewSystem(c Config) (*System, error) {
 	s := &System{
 		cfg: c, eng: event.NewEngine(), mapper: mapper, tparams: tparams,
 		wstats: NewWorkloadStats(geo, tparams),
-		arrQ:   make([]timeQ, geo.Subchannels),
-		delivQ: make([]timeQ, geo.Subchannels),
 	}
 	// The workload collector and the oracle observe every subchannel in
 	// one global bank namespace (subObserver offsets bank by sub*Banks).
@@ -473,7 +441,9 @@ func NewSystem(c Config) (*System, error) {
 		}
 		s.devs = append(s.devs, dev)
 		s.ctrls = append(s.ctrls, ctl)
+		s.ret = append(s.ret, s.eng.NewLink(sub, FrontendLatencyNs))
 	}
+	s.arrive = s.eng.NewLink(geo.Subchannels, FrontendLatencyNs)
 	// All controllers share one timing set, so one gap serves them all.
 	s.gap = s.ctrls[0].MinSchedGap()
 
@@ -590,67 +560,22 @@ func (s *System) addCore(src cpu.Source) error {
 // hierarchy does on real systems.
 const FrontendLatencyNs = 15
 
-// txn carries one in-flight access's completion context across the
-// controller boundary: the controller fires txnComplete at data
-// completion, which schedules the return-trip hop that finally invokes
-// the submitter's pre-bound callback.
-type txn struct {
-	sys  *System
-	done event.Func
-	ctx  any
-	sub  int32 // owning subchannel: the return hop's source
-}
-
-func (s *System) newTxn() *txn {
-	if n := len(s.freeTxn); n > 0 {
-		t := s.freeTxn[n-1]
-		s.freeTxn = s.freeTxn[:n-1]
-		return t
-	}
-	return &txn{sys: s}
-}
-
-// txnComplete runs at data completion and pays the controller-to-core
-// return latency. The hop is sent from the controller's subchannel
-// index, so two completions reaching the cores at the same instant
-// resolve by subchannel (see event.Engine.Send).
-func txnComplete(ctx any, doneAt int64) {
-	t := ctx.(*txn)
-	q := &t.sys.delivQ[t.sub]
-	q.next(t.sys.eng.Now()) // drop fired entries (manual drivers never reach horizonBound)
-	q.push(doneAt + FrontendLatencyNs)
-	t.sys.eng.Send(int(t.sub), FrontendLatencyNs, txnDeliver, t, doneAt+FrontendLatencyNs)
-}
-
-// txnDeliver hands the completed access back to its submitter and
-// recycles the txn.
-func txnDeliver(ctx any, at int64) {
-	t := ctx.(*txn)
-	s, done, dctx := t.sys, t.done, t.ctx
-	t.done, t.ctx = nil, nil
-	s.freeTxn = append(s.freeTxn, t)
-	done(dctx, at)
-}
-
 // submit routes a physical address to its subchannel controller after
 // the core-to-controller latency; the completion pays the return trip.
-// The whole path — arrival hop, controller request, completion hop — is
-// closure-free and runs on pooled objects. Arrival hops are sent from
-// the core complex, whose source index (the subchannel count) follows
-// every controller's.
+// The whole path is closure-free and costs two events: the request
+// rides the arrival link into the controller, and at data completion
+// the controller hands the submitter's pre-bound callback to its
+// subchannel's return link, which fires it on landing. Two completions
+// reaching the cores at the same instant therefore resolve by
+// subchannel (see event.Link).
 func (s *System) submit(addr int64, write bool, done event.Func, ctx any) {
 	loc := s.mapper.Decode(addr)
 	r := s.ctrls[loc.Sub].NewRequest()
 	r.Bank, r.Row, r.Col, r.Write = loc.Bank, loc.Row, loc.Col, write
 	if done != nil {
-		t := s.newTxn()
-		t.done, t.ctx, t.sub = done, ctx, int32(loc.Sub)
-		r.Done, r.DoneCtx = txnComplete, t
+		r.Done, r.DoneCtx, r.Link = done, ctx, s.ret[loc.Sub]
 	}
-	q := &s.arrQ[loc.Sub]
-	q.next(s.eng.Now()) // drop fired entries (manual drivers never reach horizonBound)
-	q.push(s.eng.Now() + FrontendLatencyNs)
-	s.eng.Send(len(s.ctrls), FrontendLatencyNs, mc.EnqueueOwned, r, 0)
+	s.arrive.Send(mc.EnqueueOwned, r, 0)
 }
 
 // Engine exposes the event engine (attack drivers and trace replay on
@@ -699,8 +624,8 @@ func (s *System) Run(maxNs int64) (Result, error) {
 const maxEpochNs = 1 << 20
 
 // horizonBound returns the exclusive epoch bound for an epoch starting
-// at start (the earliest pending event): ES + FrontendLatencyNs, where
-// ES lower-bounds the earliest instant any component could send a
+// at start (the earliest pending instant): ES + FrontendLatencyNs,
+// where ES lower-bounds the earliest instant any component could send a
 // frontend hop from the current state. No hop sent inside the epoch can
 // land before the bound, because a hop sent at t >= ES arrives at
 // t + FrontendLatencyNs >= bound.
@@ -710,16 +635,19 @@ const maxEpochNs = 1 << 20
 //   - each core's pending self-wake (an advance can submit new misses
 //     at its own instant, and miss completions arriving mid-epoch only
 //     wake the core at strictly later times);
-//   - each controller's earliest pending completion callback, which
-//     fires the controller->core return hop at its own instant;
-//   - each pending completion hop already in flight toward the cores
-//     (its delivery can trigger new submissions at its own instant);
+//   - each completion still waiting to depart on a return link: it is
+//     the controller->core hop itself;
+//   - each completion hop in flight toward the cores (its delivery can
+//     trigger new submissions at its own instant) — the return links'
+//     heads;
 //   - each controller's next chance to *schedule* a new completion: no
 //     scheduler pass runs before min(tick, earliest pending arrival
 //     hop), and a pass at t cannot complete a column access before
 //     t + MinSchedGap. DRAM devices and mitigation guards are passive
 //     (they never schedule events), so controller passes and the
 //     completions they schedule are the only controller-side sources.
+//     All controllers share one gap, so one arrival term (the arrival
+//     link's head) serves them all.
 //
 // Events already pending at times below the returned ES cannot send:
 // they are controller scheduler passes and arrival deliveries, whose
@@ -729,33 +657,31 @@ const maxEpochNs = 1 << 20
 // the set of events a finished run has executed, and with it TimeNs
 // and every recorded result.
 func (s *System) horizonBound(start int64) int64 {
-	now := s.eng.Now()
-	es := mc.Never
+	es := s.nextDeparture()
 	for _, c := range s.cores {
 		if w := c.WakeAt(); w >= 0 && w < es {
 			es = w
 		}
 	}
-	for i := range s.ctrls {
-		ctl := s.ctrls[i]
-		if t := ctl.NextSendAt(now); t < es {
+	for _, l := range s.ret {
+		if t, ok := l.Head(); ok && t < es {
 			es = t
-		}
-		if t := s.delivQ[i].next(now); t < es {
-			es = t
-		}
-		evt := ctl.TickAt()
-		if t := s.arrQ[i].next(now); t < evt {
-			evt = t
-		}
-		if evt != mc.Never {
-			if t := evt + s.gap; t < es {
-				es = t
-			}
 		}
 	}
+	evt, ok := s.arrive.Head()
+	if !ok {
+		evt = mc.Never
+	}
+	for _, ctl := range s.ctrls {
+		if t := ctl.TickAt(); t < evt {
+			evt = t
+		}
+	}
+	if evt != mc.Never && evt+s.gap < es {
+		es = evt + s.gap
+	}
 	// Sends happen inside event executions, so nothing can send before
-	// the earliest pending event either way; clamping also restores
+	// the earliest pending instant either way; clamping also restores
 	// progress when a tracked instant has already passed.
 	if es < start {
 		es = start
@@ -764,6 +690,18 @@ func (s *System) horizonBound(start int64) int64 {
 		es = start + maxEpochNs
 	}
 	return es + FrontendLatencyNs
+}
+
+// nextDeparture returns the earliest completion hop still waiting to
+// depart on a return link, or mc.Never.
+func (s *System) nextDeparture() int64 {
+	t := mc.Never
+	for _, l := range s.ret {
+		if d, ok := l.NextDeparture(); ok && d < t {
+			t = d
+		}
+	}
+	return t
 }
 
 // RunContext is Run with cooperative cancellation: the context is
@@ -778,6 +716,11 @@ func (s *System) horizonBound(start int64) int64 {
 // before the first boundary at which all cores are done". Recorded
 // results (TimeNs included) encode this stop rule, so it must not
 // change without a result-store revision.
+//
+// An epoch starts at the earliest pending instant: the next event, or
+// a completion departing before it. A departure is an instant of the
+// model (the controller->core hop leaves then) even though no event
+// fires there, so it starts an epoch exactly as an event would.
 func (s *System) RunContext(ctx context.Context, maxNs int64) (Result, error) {
 	if maxNs <= 0 {
 		maxNs = 1_000_000_000
@@ -791,7 +734,13 @@ func (s *System) RunContext(ctx context.Context, maxNs int64) (Result, error) {
 	steps := 0
 	for s.running > 0 {
 		at, ok := s.eng.NextAt()
-		if !ok || at >= maxNs {
+		if !ok {
+			break
+		}
+		if d := s.nextDeparture(); d < at {
+			at = d
+		}
+		if at >= maxNs {
 			break
 		}
 		steps += s.eng.RunUntil(s.horizonBound(at) - 1)
