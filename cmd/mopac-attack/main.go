@@ -19,7 +19,6 @@ import (
 
 	"mopac/internal/attack"
 	"mopac/internal/buildinfo"
-	"mopac/internal/config"
 	"mopac/internal/sim"
 	"mopac/internal/store"
 )
@@ -51,13 +50,13 @@ func main() {
 		return
 	}
 	if *list {
-		for _, d := range config.Designs() {
+		for _, d := range sim.Designs() {
 			fmt.Println(d)
 		}
 		return
 	}
 
-	d, err := config.ParseDesign(*design)
+	d, err := sim.ParseDesign(*design)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

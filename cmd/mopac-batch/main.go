@@ -59,7 +59,7 @@ func main() {
 		return
 	}
 	if *list {
-		for _, d := range config.Designs() {
+		for _, d := range sim.Designs() {
 			fmt.Println(d)
 		}
 		return
@@ -223,35 +223,6 @@ func main() {
 	}
 }
 
-// toJobRequest maps an expanded sim.Config back onto the service wire
-// form. Design and policy names round-trip through their parsers
-// (ParseDesign lowercases; PagePolicy.String appends "-page").
-func toJobRequest(c sim.Config) (service.JobRequest, error) {
-	if c.CommandLogDepth != 0 {
-		return service.JobRequest{}, fmt.Errorf("command logging is not supported by the service API")
-	}
-	return service.JobRequest{
-		Design:           strings.ToLower(c.Design.String()),
-		TRH:              c.TRH,
-		Workload:         c.Workload,
-		Cores:            c.Cores,
-		InstrPerCore:     c.InstrPerCore,
-		NUP:              c.NUP,
-		RowPress:         c.RowPress,
-		QPRAC:            c.QPRAC,
-		Chips:            c.Chips,
-		SRQSize:          c.SRQSize,
-		DrainOnREF:       c.DrainOnREF,
-		RFMLevel:         c.RFMLevel,
-		MaxPostponedREFs: c.MaxPostponedREFs,
-		PInvOverride:     c.PInvOverride,
-		Policy:           strings.TrimSuffix(c.Policy.String(), "-page"),
-		TimeoutNs:        c.TimeoutNs,
-		Seed:             c.Seed,
-		Oracle:           c.TrackSecurity,
-	}, nil
-}
-
 // submitWait posts one job synchronously, sleeping out 429 Retry-After
 // hints (clamped to a minute, bounded attempts) before giving up.
 func submitWait(client *http.Client, server, tenant string, req service.JobRequest) (*sim.ResultSummary, bool, error) {
@@ -334,27 +305,26 @@ func runRemote(w io.Writer, fm report.Format, path, server, tenant string, jobs 
 	var finished, cached atomic.Int64
 	service.ForEach(jobs, len(exps), func(i int) {
 		e := exps[i]
-		req, err := toJobRequest(e.Config)
-		if err == nil {
-			var sum *sim.ResultSummary
-			var hit bool
-			start := time.Now()
-			sum, hit, err = submitWait(client, server, tenant, req)
-			if err == nil {
-				results[i] = outcome{sum: sum, cacheHit: hit}
-				if hit {
-					cached.Add(1)
-				}
-				from := "done in " + time.Since(start).Round(time.Millisecond).String()
-				if hit {
-					from = "from server cache"
-				}
-				fmt.Fprintf(os.Stderr, "[%d/%d] %s %s/%s %s\n",
-					finished.Add(1), len(exps), e.RunName, e.Config.Design, e.Config.Workload, from)
-				return
-			}
+		req := service.JobRequest{
+			Design:   e.Config.Design.String(),
+			TRH:      e.Config.TRH,
+			Workload: e.Config.Workload,
+			Knobs:    e.Knobs,
 		}
-		results[i] = outcome{err: err}
+		start := time.Now()
+		sum, hit, err := submitWait(client, server, tenant, req)
+		if err != nil {
+			results[i] = outcome{err: err}
+			return
+		}
+		results[i] = outcome{sum: sum, cacheHit: hit}
+		from := "done in " + time.Since(start).Round(time.Millisecond).String()
+		if hit {
+			cached.Add(1)
+			from = "from server cache"
+		}
+		fmt.Fprintf(os.Stderr, "[%d/%d] %s %s/%s %s\n",
+			finished.Add(1), len(exps), e.RunName, e.Config.Design, e.Config.Workload, from)
 	})
 	if n := cached.Load(); n > 0 {
 		fmt.Fprintf(os.Stderr, "%d of %d runs served from the server result cache\n", n, len(exps))

@@ -45,6 +45,7 @@ import (
 	"sync"
 	"time"
 
+	"mopac/internal/config"
 	"mopac/internal/service"
 	"mopac/internal/stats"
 )
@@ -125,10 +126,12 @@ func buildSchedule(p scheduleParams) ([]request, error) {
 
 	job := func() []byte {
 		req := service.JobRequest{
-			Design:       p.designs[rng.Intn(len(p.designs))],
-			Workload:     p.workloads[rng.Intn(len(p.workloads))],
-			InstrPerCore: p.instr,
-			Seed:         uint64(rng.Intn(p.seeds) + 1),
+			Design:   p.designs[rng.Intn(len(p.designs))],
+			Workload: p.workloads[rng.Intn(len(p.workloads))],
+			Knobs: config.Knobs{
+				InstrPerCore: p.instr,
+				Seed:         uint64(rng.Intn(p.seeds) + 1),
+			},
 		}
 		body, _ := json.Marshal(req)
 		return body

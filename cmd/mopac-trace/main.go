@@ -16,7 +16,6 @@ import (
 
 	"mopac/internal/addrmap"
 	"mopac/internal/buildinfo"
-	"mopac/internal/config"
 	"mopac/internal/cpu"
 	"mopac/internal/sim"
 	"mopac/internal/trace"
@@ -158,14 +157,14 @@ func info(args []string) {
 func run(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	in := fs.String("i", "", "trace file (required)")
-	design := fs.String("design", "baseline", strings.Join(config.Designs(), " | "))
+	design := fs.String("design", "baseline", strings.Join(sim.Designs(), " | "))
 	trh := fs.Int("trh", 500, "Rowhammer threshold")
 	instr := fs.Int64("instr", 1_000_000, "instructions to retire")
 	_ = fs.Parse(args)
 	if *in == "" {
 		fatalf("run: -i is required")
 	}
-	d, err := config.ParseDesign(*design)
+	d, err := sim.ParseDesign(*design)
 	if err != nil {
 		fatalf("%v", err)
 	}

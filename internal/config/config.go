@@ -17,29 +17,19 @@ import (
 	"mopac/internal/workload"
 )
 
-// Run is one JSON run specification. Sweep fields (Designs, TRHs,
-// Workloads) cross-multiply; scalar fields apply to every expansion.
-type Run struct {
-	// Name labels the run group in reports.
-	Name string `json:"name"`
-	// Designs: baseline | prac | qprac | mopac-c | mopac-d | trr |
-	// mint | pride | chronos (see Designs()).
-	Designs []string `json:"designs"`
-	// TRHs are the Rowhammer thresholds to sweep (default [500]).
-	TRHs []int `json:"trhs,omitempty"`
-	// Workloads are Table 4 names, or ["all"], ["spec"], ["stream"],
-	// ["mixes"] group aliases.
-	Workloads []string `json:"workloads"`
+// Knobs are the run knobs shared by batch-file runs and service job
+// bodies. Both embed them, and JSON flattens embedded structs, so the
+// two formats spell every knob alike.
+type Knobs struct {
 	// InstrPerCore sizes each run (default 1e6).
 	InstrPerCore int64 `json:"instr_per_core,omitempty"`
 	// Cores is the core count (default 8).
 	Cores int `json:"cores,omitempty"`
-	// Seed seeds every expansion (default 1).
+	// Seed seeds the run (0 selects 1).
 	Seed uint64 `json:"seed,omitempty"`
-	// NUP / RowPress / QPRAC toggle the design options.
+	// NUP / RowPress toggle the design options.
 	NUP      bool `json:"nup,omitempty"`
 	RowPress bool `json:"rowpress,omitempty"`
-	QPRAC    bool `json:"qprac,omitempty"`
 	// Chips, SRQSize, DrainOnREF, RFMLevel, MaxPostponedREFs tune the
 	// MoPAC-D and protocol parameters; nil DrainOnREF keeps the derived
 	// rate.
@@ -48,6 +38,9 @@ type Run struct {
 	DrainOnREF       *int `json:"drain_on_ref,omitempty"`
 	RFMLevel         int  `json:"rfm_level,omitempty"`
 	MaxPostponedREFs int  `json:"max_postponed_refs,omitempty"`
+	// PInvOverride, when > 0, fixes the MoPAC update probability at
+	// 1/PInvOverride (the §5.4 p-selection sweep).
+	PInvOverride int `json:"pinv_override,omitempty"`
 	// Policy: open | close | timeout (with TimeoutNs).
 	Policy    string `json:"policy,omitempty"`
 	TimeoutNs int64  `json:"timeout_ns,omitempty"`
@@ -55,22 +48,59 @@ type Run struct {
 	Oracle bool `json:"oracle,omitempty"`
 }
 
+// Config maps the knobs onto a validated run of design d at threshold
+// trh on workload wl. Every failure wraps sim.ErrInvalidConfig.
+func (k Knobs) Config(d sim.Design, trh int, wl string) (sim.Config, error) {
+	policy, err := ParsePolicy(k.Policy)
+	if err != nil {
+		return sim.Config{}, fmt.Errorf("%w: %v", sim.ErrInvalidConfig, err)
+	}
+	cfg := sim.Config{
+		Design:           d,
+		TRH:              trh,
+		Workload:         wl,
+		Cores:            k.Cores,
+		InstrPerCore:     k.InstrPerCore,
+		NUP:              k.NUP,
+		RowPress:         k.RowPress,
+		Chips:            k.Chips,
+		SRQSize:          k.SRQSize,
+		DrainOnREF:       k.DrainOnREF,
+		RFMLevel:         k.RFMLevel,
+		MaxPostponedREFs: k.MaxPostponedREFs,
+		PInvOverride:     k.PInvOverride,
+		Policy:           policy,
+		TimeoutNs:        k.TimeoutNs,
+		Seed:             k.Seed,
+		TrackSecurity:    k.Oracle,
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	if err := cfg.Validate(); err != nil {
+		return sim.Config{}, err
+	}
+	return cfg, nil
+}
+
+// Run is one JSON run specification. Sweep fields (Designs, TRHs,
+// Workloads) cross-multiply; the knobs apply to every expansion.
+type Run struct {
+	// Name labels the run group in reports.
+	Name string `json:"name"`
+	// Designs are registry names (see sim.Designs()).
+	Designs []string `json:"designs"`
+	// TRHs are the Rowhammer thresholds to sweep (default [500]).
+	TRHs []int `json:"trhs,omitempty"`
+	// Workloads are Table 4 names, or ["all"], ["spec"], ["stream"],
+	// ["mixes"] group aliases.
+	Workloads []string `json:"workloads"`
+	Knobs
+}
+
 // File is a whole configuration file.
 type File struct {
 	Runs []Run `json:"runs"`
-}
-
-// designNames maps JSON design names to sim designs.
-var designNames = map[string]sim.Design{
-	"baseline": sim.DesignBaseline,
-	"prac":     sim.DesignPRAC,
-	"mopac-c":  sim.DesignMoPACC,
-	"mopac-d":  sim.DesignMoPACD,
-	"trr":      sim.DesignTRR,
-	"mint":     sim.DesignMINT,
-	"pride":    sim.DesignPrIDE,
-	"chronos":  sim.DesignChronos,
-	"qprac":    sim.DesignQPRAC,
 }
 
 // policyNames maps JSON policy names to controller policies.
@@ -81,17 +111,6 @@ var policyNames = map[string]mc.PagePolicy{
 	"timeout": mc.TimeoutPage,
 }
 
-// ParseDesign resolves a JSON design name (case-insensitive) to its sim
-// design. It is the single name registry shared by the batch file
-// format and the HTTP service.
-func ParseDesign(name string) (sim.Design, error) {
-	d, ok := designNames[strings.ToLower(name)]
-	if !ok {
-		return 0, fmt.Errorf("config: unknown design %q", name)
-	}
-	return d, nil
-}
-
 // ParsePolicy resolves a JSON page-policy name (case-insensitive,
 // empty selects open-page) to its controller policy.
 func ParsePolicy(name string) (mc.PagePolicy, error) {
@@ -100,17 +119,6 @@ func ParsePolicy(name string) (mc.PagePolicy, error) {
 		return 0, fmt.Errorf("config: unknown policy %q", name)
 	}
 	return p, nil
-}
-
-// Designs enumerates every registered design name in sorted order —
-// the discoverable face of the registry (`-list-designs` on the CLIs).
-func Designs() []string {
-	out := make([]string, 0, len(designNames))
-	for n := range designNames {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Policies enumerates every named page policy in sorted order (the
@@ -165,29 +173,16 @@ func (r *Run) validate() error {
 	if len(r.Designs) == 0 {
 		return fmt.Errorf("designs are required")
 	}
-	for _, d := range r.Designs {
-		if _, ok := designNames[strings.ToLower(d)]; !ok {
-			return fmt.Errorf("unknown design %q", d)
-		}
-	}
 	if len(r.Workloads) == 0 {
 		return fmt.Errorf("workloads are required")
-	}
-	if _, err := expandWorkloads(r.Workloads); err != nil {
-		return err
-	}
-	if _, ok := policyNames[strings.ToLower(r.Policy)]; !ok {
-		return fmt.Errorf("unknown policy %q", r.Policy)
 	}
 	for _, trh := range r.TRHs {
 		if trh <= 0 {
 			return fmt.Errorf("non-positive threshold %d", trh)
 		}
 	}
-	if r.InstrPerCore < 0 || r.Cores < 0 {
-		return fmt.Errorf("negative sizing")
-	}
-	return nil
+	_, err := r.expand()
+	return err
 }
 
 // expandWorkloads resolves group aliases into concrete workload names.
@@ -217,47 +212,47 @@ func expandWorkloads(names []string) ([]string, error) {
 type Expansion struct {
 	RunName string
 	Config  sim.Config
+	// Knobs are the run's knobs as written, for re-submitting the run
+	// as a service job.
+	Knobs Knobs
 }
 
 // Expand cross-multiplies every run into concrete sim configurations.
 func (f *File) Expand() ([]Expansion, error) {
 	var out []Expansion
-	for _, r := range f.Runs {
-		wls, err := expandWorkloads(r.Workloads)
+	for i := range f.Runs {
+		exps, err := f.Runs[i].expand()
 		if err != nil {
 			return nil, err
 		}
-		trhs := r.TRHs
-		if len(trhs) == 0 {
-			trhs = []int{500}
+		out = append(out, exps...)
+	}
+	return out, nil
+}
+
+// expand cross-multiplies one run into validated configurations.
+func (r *Run) expand() ([]Expansion, error) {
+	wls, err := expandWorkloads(r.Workloads)
+	if err != nil {
+		return nil, err
+	}
+	trhs := r.TRHs
+	if len(trhs) == 0 {
+		trhs = []int{500}
+	}
+	var out []Expansion
+	for _, name := range r.Designs {
+		d, err := sim.ParseDesign(name)
+		if err != nil {
+			return nil, err
 		}
-		for _, d := range r.Designs {
-			for _, trh := range trhs {
-				for _, wl := range wls {
-					cfg := sim.Config{
-						Design:           designNames[strings.ToLower(d)],
-						TRH:              trh,
-						Workload:         wl,
-						Cores:            r.Cores,
-						InstrPerCore:     r.InstrPerCore,
-						NUP:              r.NUP,
-						RowPress:         r.RowPress,
-						QPRAC:            r.QPRAC,
-						Chips:            r.Chips,
-						SRQSize:          r.SRQSize,
-						DrainOnREF:       r.DrainOnREF,
-						RFMLevel:         r.RFMLevel,
-						MaxPostponedREFs: r.MaxPostponedREFs,
-						Policy:           policyNames[strings.ToLower(r.Policy)],
-						TimeoutNs:        r.TimeoutNs,
-						Seed:             r.Seed,
-						TrackSecurity:    r.Oracle,
-					}
-					if cfg.Seed == 0 {
-						cfg.Seed = 1
-					}
-					out = append(out, Expansion{RunName: r.Name, Config: cfg})
+		for _, trh := range trhs {
+			for _, wl := range wls {
+				cfg, err := r.Knobs.Config(d, trh, wl)
+				if err != nil {
+					return nil, err
 				}
+				out = append(out, Expansion{RunName: r.Name, Config: cfg, Knobs: r.Knobs})
 			}
 		}
 	}
@@ -270,19 +265,18 @@ func Example() *File {
 	drain := 2
 	return &File{Runs: []Run{
 		{
-			Name:         "headline",
-			Designs:      []string{"baseline", "prac", "mopac-c", "mopac-d"},
-			TRHs:         []int{500},
-			Workloads:    []string{"spec"},
-			InstrPerCore: 1_000_000,
-			Seed:         1,
+			Name:      "headline",
+			Designs:   []string{"baseline", "prac", "mopac-c", "mopac-d"},
+			TRHs:      []int{500},
+			Workloads: []string{"spec"},
+			Knobs:     Knobs{InstrPerCore: 1_000_000, Seed: 1},
 		},
 		{
-			Name:       "drain-sweep",
-			Designs:    []string{"mopac-d"},
-			TRHs:       []int{250},
-			Workloads:  []string{"lbm", "fotonik3d"},
-			DrainOnREF: &drain,
+			Name:      "drain-sweep",
+			Designs:   []string{"mopac-d"},
+			TRHs:      []int{250},
+			Workloads: []string{"lbm", "fotonik3d"},
+			Knobs:     Knobs{DrainOnREF: &drain},
 		},
 	}}
 }

@@ -28,28 +28,14 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// JobRequest is the POST /v1/jobs body: the JSON-friendly form of
-// sim.Config, with design and policy as names (the same registry the
-// batch file format uses) plus per-job run caps.
+// JobRequest is the POST /v1/jobs body: a design, threshold and
+// workload plus the batch file's run knobs (config.Knobs, flattened
+// into the same JSON keys) and per-job run caps.
 type JobRequest struct {
-	Design           string `json:"design"`
-	TRH              int    `json:"trh,omitempty"`
-	Workload         string `json:"workload"`
-	Cores            int    `json:"cores,omitempty"`
-	InstrPerCore     int64  `json:"instr_per_core,omitempty"`
-	NUP              bool   `json:"nup,omitempty"`
-	RowPress         bool   `json:"rowpress,omitempty"`
-	QPRAC            bool   `json:"qprac,omitempty"`
-	Chips            int    `json:"chips,omitempty"`
-	SRQSize          int    `json:"srq_size,omitempty"`
-	DrainOnREF       *int   `json:"drain_on_ref,omitempty"`
-	RFMLevel         int    `json:"rfm_level,omitempty"`
-	MaxPostponedREFs int    `json:"max_postponed_refs,omitempty"`
-	PInvOverride     int    `json:"pinv_override,omitempty"`
-	Policy           string `json:"policy,omitempty"`
-	TimeoutNs        int64  `json:"timeout_ns,omitempty"`
-	Seed             uint64 `json:"seed,omitempty"`
-	Oracle           bool   `json:"oracle,omitempty"`
+	Design   string `json:"design"`
+	TRH      int    `json:"trh,omitempty"`
+	Workload string `json:"workload"`
+	config.Knobs
 	// MaxNs caps simulated time (0 = one simulated second).
 	MaxNs int64 `json:"max_ns,omitempty"`
 	// DeadlineMs caps wall-clock run time; past it the job is cancelled.
@@ -68,11 +54,7 @@ type JobRequest struct {
 // failures wrap sim.ErrInvalidConfig so the HTTP layer maps them to
 // 400.
 func (r JobRequest) ToConfig() (sim.Config, error) {
-	design, err := config.ParseDesign(r.Design)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("%w: %v", sim.ErrInvalidConfig, err)
-	}
-	policy, err := config.ParsePolicy(r.Policy)
+	design, err := sim.ParseDesign(r.Design)
 	if err != nil {
 		return sim.Config{}, fmt.Errorf("%w: %v", sim.ErrInvalidConfig, err)
 	}
@@ -88,33 +70,7 @@ func (r JobRequest) ToConfig() (sim.Config, error) {
 	if r.TraceLimit < 0 {
 		return sim.Config{}, fmt.Errorf("%w: negative trace limit", sim.ErrInvalidConfig)
 	}
-	cfg := sim.Config{
-		Design:           design,
-		TRH:              r.TRH,
-		Workload:         r.Workload,
-		Cores:            r.Cores,
-		InstrPerCore:     r.InstrPerCore,
-		NUP:              r.NUP,
-		RowPress:         r.RowPress,
-		QPRAC:            r.QPRAC,
-		Chips:            r.Chips,
-		SRQSize:          r.SRQSize,
-		DrainOnREF:       r.DrainOnREF,
-		RFMLevel:         r.RFMLevel,
-		MaxPostponedREFs: r.MaxPostponedREFs,
-		PInvOverride:     r.PInvOverride,
-		Policy:           policy,
-		TimeoutNs:        r.TimeoutNs,
-		Seed:             r.Seed,
-		TrackSecurity:    r.Oracle,
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if err := cfg.Validate(); err != nil {
-		return sim.Config{}, err
-	}
-	return cfg, nil
+	return r.Knobs.Config(design, r.TRH, r.Workload)
 }
 
 // Job is one tracked simulation run. Mutable fields are guarded by the

@@ -11,17 +11,18 @@ import (
 	"testing"
 	"time"
 
+	"mopac/internal/config"
 	"mopac/internal/store"
 )
 
 // fastJob completes in well under a second; slowJob would run for
 // minutes if left alone (the cancellation tests never let it).
 func fastJob(seed uint64) JobRequest {
-	return JobRequest{Design: "baseline", Workload: "lbm", InstrPerCore: 20_000, Seed: seed}
+	return JobRequest{Design: "baseline", Workload: "lbm", Knobs: config.Knobs{InstrPerCore: 20_000, Seed: seed}}
 }
 
 func slowJob(seed uint64) JobRequest {
-	return JobRequest{Design: "mopac-d", Workload: "lbm", InstrPerCore: 200_000_000, Seed: seed}
+	return JobRequest{Design: "mopac-d", Workload: "lbm", Knobs: config.Knobs{InstrPerCore: 200_000_000, Seed: seed}}
 }
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -257,6 +258,7 @@ func TestSubmitValidation400(t *testing.T) {
 		{"unknown workload", `{"design":"baseline","workload":"nosuch"}`},
 		{"missing workload", `{"design":"baseline"}`},
 		{"unknown field", `{"design":"baseline","workload":"lbm","bogus":1}`},
+		{"removed qprac key", `{"design":"prac","workload":"lbm","qprac":true}`},
 		{"garbage", `{nope`},
 	}
 	for _, tc := range cases {

@@ -174,24 +174,3 @@ func TestPlannerAttackBadCandidateIsData(t *testing.T) {
 		t.Fatalf("good candidate undershot: %+v", res)
 	}
 }
-
-// TestQPRACDesignAlias: the first-class qprac design must be exactly
-// the PRAC design with the QPRAC backend flag — one mechanism, two
-// spellings.
-func TestQPRACDesignAlias(t *testing.T) {
-	named, err := RunAttack(Config{Design: DesignQPRAC, TRH: 500, Seed: 1}, doubleSided, 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flagged, err := RunAttack(Config{Design: DesignPRAC, TRH: 500, QPRAC: true, Seed: 1}, doubleSided, 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if named.TimeNs != flagged.TimeNs || named.Alerts != flagged.Alerts ||
-		named.Mitigations != flagged.Mitigations || named.MaxUnmitigated != flagged.MaxUnmitigated {
-		t.Fatalf("DesignQPRAC diverged from PRAC+QPRAC: %+v vs %+v", named, flagged)
-	}
-	if !named.Secure {
-		t.Fatalf("QPRAC failed the double-sided attack (max %d)", named.MaxUnmitigated)
-	}
-}

@@ -78,7 +78,7 @@ func TestQPRACBackendFewerABOs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qprac, err := RunAttack(Config{Design: DesignPRAC, TRH: 500, QPRAC: true, Seed: 1}, ds, 50_000)
+	qprac, err := RunAttack(Config{Design: DesignQPRAC, TRH: 500, Seed: 1}, ds, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +95,13 @@ func TestQPRACBackendFewerABOs(t *testing.T) {
 
 // QPRAC on benign workloads behaves like PRAC (same timings dominate).
 func TestQPRACBenignPerformanceMatchesMOAT(t *testing.T) {
-	run := func(qprac bool) Result {
+	run := func(d Design) Result {
 		return mustRun(t, Config{
-			Design: DesignPRAC, TRH: 500, QPRAC: qprac,
+			Design: d, TRH: 500,
 			Workload: "mcf", InstrPerCore: 100_000, Seed: 1,
 		})
 	}
-	moat, qprac := run(false), run(true)
+	moat, qprac := run(DesignPRAC), run(DesignQPRAC)
 	d := Slowdown(moat, qprac)
 	if d > 0.02 || d < -0.02 {
 		t.Fatalf("QPRAC vs MOAT benign delta %.3f, want ~0", d)

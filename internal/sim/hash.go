@@ -8,8 +8,10 @@ import "mopac/internal/runkey"
 // loop became epoch-aligned (it executes every event before the first
 // 15 ns epoch boundary at which all cores are done, rather than
 // stopping mid-window at the final retirement), which shifts tail
-// stats slightly, so v1 records no longer describe v2 runs.
-const hashVersion = "mopac-config-v2"
+// stats slightly, so v1 records no longer describe v2 runs. v3: the
+// QPRAC backend flag was removed (DesignQPRAC is its one spelling), so
+// the field list changed.
+const hashVersion = "mopac-config-v3"
 
 // Hash returns a content-addressed key for the run the configuration
 // describes. The config is normalised first (setDefaults), so a zero
@@ -43,7 +45,6 @@ func (c Config) addHashFields(b *runkey.Builder) {
 	b.Bool("nup", c.NUP)
 	b.Bool("rowpress", c.RowPress)
 	b.Int("chips", int64(c.Chips))
-	b.Bool("qprac", c.QPRAC)
 	b.Int("pinv", int64(c.PInvOverride))
 	b.Int("rfmlevel", int64(c.RFMLevel))
 	b.Int("maxpostponed", int64(c.MaxPostponedREFs))
@@ -60,8 +61,9 @@ func (c Config) addHashFields(b *runkey.Builder) {
 // candidates share the planner/store machinery with figure runs but
 // live in their own schema ("attack-v1") and keyspace: the version
 // line guarantees an attack key can never collide with a figure-run
-// key even inside a shared directory.
-const attackHashVersion = "mopac-attack-v1"
+// key even inside a shared directory. v2 follows the base config's
+// v3 field list.
+const attackHashVersion = "mopac-attack-v2"
 
 // Hash returns the content-addressed key of one attack-candidate
 // evaluation: the base design config, every pattern knob, and the

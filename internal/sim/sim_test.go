@@ -2,7 +2,10 @@ package sim
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
+	"sort"
+	"strings"
 	"testing"
 
 	"mopac/internal/cpu"
@@ -217,6 +220,7 @@ func TestDesignString(t *testing.T) {
 		DesignMoPACC: "MoPAC-C", DesignMoPACD: "MoPAC-D",
 		DesignTRR: "TRR", DesignMINT: "MINT",
 		DesignPrIDE: "PrIDE", DesignChronos: "Chronos",
+		DesignQPRAC: "QPRAC",
 	}
 	for d, want := range names {
 		if d.String() != want {
@@ -225,6 +229,47 @@ func TestDesignString(t *testing.T) {
 	}
 	if Design(99).String() == "" {
 		t.Fatal("unknown design must format")
+	}
+}
+
+// TestDesignRegistry: every registry entry is complete and round-trips
+// through its CLI/JSON name, Designs() lists exactly the registry in
+// sorted order, and Validate rejects indices outside it.
+func TestDesignRegistry(t *testing.T) {
+	names := Designs()
+	if len(names) != len(designs) || !sort.StringsAreSorted(names) {
+		t.Fatalf("Designs() = %v, want all %d names sorted", names, len(designs))
+	}
+	listed := map[string]bool{}
+	for _, n := range names {
+		listed[n] = true
+	}
+	for i := range designs {
+		d := Design(i)
+		if designs[d].name == "" || designs[d].setup == nil {
+			t.Fatalf("design %d: incomplete entry %+v", i, designs[d])
+		}
+		name := strings.ToLower(d.String())
+		if got, err := ParseDesign(name); err != nil || got != d {
+			t.Fatalf("ParseDesign(%q) = %v, %v; want %v", name, got, err, d)
+		}
+		if got, err := ParseDesign(d.String()); err != nil || got != d {
+			t.Fatalf("ParseDesign(%q) = %v, %v; want %v", d.String(), got, err, d)
+		}
+		if !listed[name] {
+			t.Fatalf("Designs() misses %q", name)
+		}
+		if err := (Config{Design: d}).Validate(); err != nil {
+			t.Fatalf("%v rejected: %v", d, err)
+		}
+	}
+	if _, err := ParseDesign("nosuch"); err == nil {
+		t.Fatal("unknown design name parsed")
+	}
+	for _, d := range []Design{Design(len(designs)), -1} {
+		if err := (Config{Design: d}).Validate(); !errors.Is(err, ErrInvalidConfig) {
+			t.Fatalf("Validate accepted %v: %v", d, err)
+		}
 	}
 }
 

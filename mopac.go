@@ -49,8 +49,8 @@ const (
 	// Chronos is the §9.1 concurrent-counter-subarray alternative
 	// (baseline row timings, doubled tFAW).
 	Chronos = sim.DesignChronos
-	// QPRAC is the PRAC design with the queue-based QPRAC backend
-	// (equivalent to PRAC plus Config.QPRAC).
+	// QPRAC is PRAC with the queue-based QPRAC mitigation service
+	// instead of MOAT (§9.1).
 	QPRAC = sim.DesignQPRAC
 )
 
