@@ -17,10 +17,11 @@ race:
 	$(GO) test -race ./...
 
 # The benchmarks BENCH_baseline.json tracks: end-to-end simulator
-# throughput (ns/op, simNs/op, allocs/op) and the event-engine hot
-# paths. -benchtime=5x pins SimulatorThroughput to seeds 1-5 so its
-# simNs/op metric is exactly reproducible run to run; the engine
-# microbenchmarks use a fixed iteration count for stable averaging.
+# throughput (ns/op, simNs/op, events/op, allocs/op) and the
+# event-engine hot paths. -benchtime=5x pins SimulatorThroughput to
+# seeds 1-5 so its simNs/op and events/op metrics are exactly
+# reproducible run to run; the engine microbenchmarks use a fixed
+# iteration count, and mopac-bench keeps the median of the -count runs.
 BENCH_RUN = ( $(GO) test -run='^$$' -bench='SimulatorThroughput|HammerThroughput' \
 		-benchmem -benchtime=5x -count=3 . && \
 	$(GO) test -run='^$$' -bench='ScheduleAndFire|Engine' \

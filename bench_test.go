@@ -293,39 +293,69 @@ func BenchmarkSecurityValidation(b *testing.B) {
 
 // BenchmarkSimulatorThroughput measures raw simulation speed:
 // simulated nanoseconds per wall second on a busy baseline system.
+// simNs/op and events/op (events the engine fired per run) are
+// deterministic per seed, so the regression gate pins them exactly
+// where wall-clock ns/op only gets a tolerance.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	var simNs int64
+	var events uint64
 	for i := 0; i < b.N; i++ {
-		res, err := Simulate(Config{
+		sys, err := sim.NewSystem(Config{
 			Design: Baseline, Workload: "bwaves", InstrPerCore: 100_000, Seed: uint64(i + 1),
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		simNs += res.TimeNs
-	}
-	b.ReportMetric(float64(simNs)/float64(b.N), "simNs/op")
-}
-
-// BenchmarkHammerThroughput measures attack-mode simulation speed: the
-// inner loop of the mopac-attack search. hammerNs/op is the simulated
-// attack duration — deterministic per seed, so the regression gate can
-// pin it alongside the wall-clock ns/op and allocs/op it tolerances.
-func BenchmarkHammerThroughput(b *testing.B) {
-	b.ReportAllocs()
-	var simNs int64
-	for i := 0; i < b.N; i++ {
-		res, err := Hammer(Config{Design: MoPACD, TRH: 500, Seed: uint64(i + 1)}, PatternDoubleSided, 20_000)
+		res, err := sys.Run(0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Secure {
+		simNs += res.TimeNs
+		events += sys.Engine().Fired()
+	}
+	b.ReportMetric(float64(simNs)/float64(b.N), "simNs/op")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
+// BenchmarkHammerThroughput measures attack-mode simulation speed: the
+// inner loop of the mopac-attack search, run as Hammer runs it (one
+// attacker core, the engine stepped until the oracle has counted the
+// activations). hammerNs/op is the simulated attack duration and
+// events/op the events fired; both are deterministic per seed, so the
+// regression gate can pin them alongside the wall-clock ns/op and
+// allocs/op it tolerances.
+func BenchmarkHammerThroughput(b *testing.B) {
+	const acts = 20_000
+	b.ReportAllocs()
+	var simNs int64
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		sys, err := sim.NewSystem(Config{Design: MoPACD, TRH: 500, Seed: uint64(i + 1), TrackSecurity: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		src, err := builtinPattern(PatternDoubleSided)(sys.Mapper())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.AttachCore(src, 1<<62); err != nil {
+			b.Fatal(err)
+		}
+		eng := sys.Engine()
+		for sys.OracleActivations() < acts {
+			if !eng.Step() {
+				b.Fatalf("attack stalled at %d ns", eng.Now())
+			}
+		}
+		if !sys.Oracle().Secure() {
 			b.Fatal("insecure")
 		}
-		simNs += res.TimeNs
+		simNs += eng.Now()
+		events += eng.Fired()
 	}
 	b.ReportMetric(float64(simNs)/float64(b.N), "hammerNs/op")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
 // --- Ablation benchmarks: the design choices DESIGN.md calls out ---

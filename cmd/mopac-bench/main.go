@@ -26,11 +26,25 @@ import (
 
 // Entry is one benchmark's parsed result. Metrics maps unit -> value
 // ("ns/op", "allocs/op", plus custom b.ReportMetric units such as
-// "simNs/op"); repeated -count runs of the same benchmark are averaged.
+// "simNs/op"). Repeated -count samples of the same benchmark keep the
+// median per metric, so one slow sample on a noisy host does not move
+// it, and Spread records each metric's [min, max] over the samples.
 type Entry struct {
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
-	runs       int64
+	Iterations int64                 `json:"iterations"`
+	Metrics    map[string]float64    `json:"metrics"`
+	Spread     map[string][2]float64 `json:"spread,omitempty"`
+	samples    map[string][]float64
+}
+
+// median returns the middle sample (the mean of the middle two for an
+// even count); it sorts xs.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // Report is the document written to disk. GoMaxProcs/NumCPU record
@@ -99,25 +113,35 @@ func parse(r io.Reader, echo io.Writer) (Report, error) {
 			}
 			metrics[fields[i+1]] = v
 		}
-		prev, seen := rep.Benchmarks[name]
+		e, seen := rep.Benchmarks[name]
 		if !seen {
-			rep.Benchmarks[name] = Entry{Iterations: iters, Metrics: metrics, runs: 1}
-			continue
+			e = Entry{samples: map[string][]float64{}}
 		}
-		// Average repeated runs (-count=N) metric by metric.
-		n := float64(prev.runs)
+		e.Iterations += iters
 		for unit, v := range metrics {
-			prev.Metrics[unit] = (prev.Metrics[unit]*n + v) / (n + 1)
+			e.samples[unit] = append(e.samples[unit], v)
 		}
-		prev.runs++
-		prev.Iterations += iters
-		rep.Benchmarks[name] = prev
+		rep.Benchmarks[name] = e
+	}
+	for name, e := range rep.Benchmarks {
+		e.Metrics = map[string]float64{}
+		for unit, xs := range e.samples {
+			e.Metrics[unit] = median(xs)
+			if len(xs) > 1 {
+				if e.Spread == nil {
+					e.Spread = map[string][2]float64{}
+				}
+				e.Spread[unit] = [2]float64{xs[0], xs[len(xs)-1]}
+			}
+		}
+		e.samples = nil
+		rep.Benchmarks[name] = e
 	}
 	return rep, sc.Err()
 }
 
-// compare prints a per-metric delta table of cur versus base and
-// reports regressions beyond tol (fractional; 0.3 = 30%). Only growth
+// compare prints a per-metric delta table of cur versus base medians
+// and reports regressions beyond tol (fractional; 0.3 = 30%). Only growth
 // is a failure: ns/op, B/op and allocs/op are all better when smaller.
 // A non-empty only set restricts the check (and the table) to those
 // units — CI gates on the deterministic simNs/op this way without

@@ -39,7 +39,10 @@ func TestParse(t *testing.T) {
 		t.Fatalf("simNs/op = %v", got)
 	}
 	if got := sim.Metrics["allocs/op"]; got != 4029 {
-		t.Fatalf("allocs/op = %v, want averaged 4029", got)
+		t.Fatalf("allocs/op = %v, want the two-sample median 4029", got)
+	}
+	if got := sim.Spread["ns/op"]; got != [2]float64{75911227, 76089221} {
+		t.Fatalf("ns/op spread = %v", got)
 	}
 	eng := rep.Benchmarks["BenchmarkEngineScheduleAndFireFunc"]
 	if got := eng.Metrics["ns/op"]; got != 14.58 {
@@ -76,6 +79,37 @@ func TestCompare(t *testing.T) {
 	delete(partial.Benchmarks, "BenchmarkEngineScheduleAndFireFunc")
 	if n := compare(base, partial, 0.30, nil, io.Discard); n != 0 {
 		t.Fatalf("missing benchmark treated as failure: %d", n)
+	}
+}
+
+// TestMedianIgnoresOutlier: one sample from a stalled host must not
+// move the recorded value or fail the gate; the spread still shows it.
+func TestMedianIgnoresOutlier(t *testing.T) {
+	run := func(ns ...string) Report {
+		var b strings.Builder
+		for _, v := range ns {
+			b.WriteString("BenchmarkSimulatorThroughput-2 \t 5 \t " + v + " ns/op\t 71364 simNs/op\n")
+		}
+		rep, err := parse(strings.NewReader(b.String()), io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	base := run("100", "102", "98")
+	cur := run("101", "250", "99")
+	e := cur.Benchmarks["BenchmarkSimulatorThroughput"]
+	if got := e.Metrics["ns/op"]; got != 101 {
+		t.Fatalf("ns/op = %v, want the median 101", got)
+	}
+	if got := e.Spread["ns/op"]; got != [2]float64{99, 250} {
+		t.Fatalf("ns/op spread = %v, want [99 250]", got)
+	}
+	if n := compare(base, cur, 0.10, nil, io.Discard); n != 0 {
+		t.Fatalf("an outlier sample failed the gate (%d failures)", n)
+	}
+	if _, ok := e.Spread["simNs/op"]; !ok {
+		t.Fatal("a constant metric still records its spread")
 	}
 }
 

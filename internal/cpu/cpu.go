@@ -45,7 +45,7 @@ type Config struct {
 	// Width is the peak retirement rate in instructions per nanosecond
 	// (4-wide at 4 GHz = 16).
 	Width int64
-	// ROB is the reorder-buffer depth in instructions.
+	// ROB is the reorder-buffer depth in instructions, at least Width.
 	ROB int64
 	// TargetInstr ends the run once this many instructions retire.
 	TargetInstr int64
@@ -115,7 +115,7 @@ type Core struct {
 
 	stallStart int64 // time the current retirement stall began (-1: none)
 	wakeTok    event.Token
-	wakeAt     int64
+	wakeAt     int64 // instant of the pending self-wake (-1: none)
 
 	// issuedPrefix counts the leading window entries already issued, so
 	// the issue scan resumes where previous passes left off instead of
@@ -166,15 +166,17 @@ func New(eng *event.Engine, cfg Config, src Source) (*Core, error) {
 	if cfg.Width <= 0 || cfg.ROB <= 0 || cfg.TargetInstr <= 0 {
 		return nil, fmt.Errorf("cpu: config must be positive: %+v", cfg)
 	}
+	if cfg.ROB < cfg.Width {
+		// The core pulls its trace at wake-ups that retirement may
+		// overshoot by up to Width-1 instructions; a ROB at least that
+		// deep keeps retirement from passing a miss not yet pulled.
+		return nil, fmt.Errorf("cpu: ROB %d is shallower than Width %d", cfg.ROB, cfg.Width)
+	}
 	if cfg.Submit == nil {
 		return nil, fmt.Errorf("cpu: Submit is required")
 	}
 	c := &Core{cfg: cfg, eng: eng, src: src, stallStart: -1, wakeAt: -1, maxIssuedInstr: -1}
 	c.lastT = eng.Now()
-	// The initial advance goes through the tracked wake path: WakeAt
-	// must account every pending self-scheduled event, because the
-	// sim layer's adaptive epoch horizon treats it as the earliest
-	// instant this core could inject new memory traffic.
 	c.scheduleWake(eng.Now())
 	return c, nil
 }
@@ -203,12 +205,6 @@ func missDone(ctx any, _ int64) {
 
 // Stats returns the core's progress counters.
 func (c *Core) Stats() Stats { return c.stats }
-
-// WakeAt returns the instant of the core's pending self-scheduled
-// advance, or -1 when none is armed (the core is stalled on a miss, or
-// finished). Between events this is the earliest time the core itself
-// can act — the sim layer's epoch-horizon computation relies on that.
-func (c *Core) WakeAt() int64 { return c.wakeAt }
 
 // Done reports whether the core has retired its target.
 func (c *Core) Done() bool { return c.stats.FinishedAt > 0 }
@@ -347,8 +343,15 @@ func (c *Core) advance() {
 	now := c.eng.Now()
 
 	// Retirement progresses at Width until the oldest incomplete miss
-	// that was blocking during the elapsed interval.
+	// that was blocking during the elapsed interval. reachedAt is the
+	// instant retirement reached that blocker: a core that can do
+	// nothing there schedules no wake for it (see the end of advance),
+	// so a stall that began inside the interval is dated here.
 	limit := c.oldestBlocker()
+	reachedAt := now
+	if c.retired < limit {
+		reachedAt = c.lastT + (limit-c.retired+c.cfg.Width-1)/c.cfg.Width
+	}
 	progressed := c.retired + (now-c.lastT)*c.cfg.Width
 	if progressed > limit {
 		progressed = limit
@@ -410,7 +413,7 @@ func (c *Core) advance() {
 	limit = c.oldestBlocker()
 	if c.retired == limit && limit < c.cfg.TargetInstr {
 		if c.stallStart < 0 {
-			c.stallStart = now
+			c.stallStart = min(reachedAt, now)
 		}
 	} else if c.stallStart >= 0 {
 		c.stats.StallNs += now - c.stallStart
@@ -425,17 +428,20 @@ func (c *Core) advance() {
 		return
 	}
 
-	// Next interesting instant: when retirement reaches the blocker (a
-	// stall boundary or the target), the next issue point, or the point
-	// where the next un-pulled trace access enters the ROB window —
-	// without the last one, a window of completed misses would let
-	// retirement sail to the end without ever pulling the rest of the
-	// trace.
-	limit = c.oldestBlocker()
-	target := limit
-	// The first unissued miss sits exactly at the issued prefix.
-	if live := c.live(); c.issuedPrefix < len(live) {
-		if at := live[c.issuedPrefix].idx - c.cfg.ROB; at > c.retired && at < target {
+	// Next interesting instant: the next issue point, the point where
+	// the next un-pulled trace access enters the ROB window — without
+	// it, a window of completed misses would let retirement sail to the
+	// end without ever pulling the rest of the trace — or the target.
+	// Retirement reaching an incomplete miss first is not one: the core
+	// could neither fill nor issue there, the miss's completion wakes
+	// it, and that advance dates the stall (reachedAt above).
+	target := c.cfg.TargetInstr
+	// Fill stops at the first access beyond the ROB window, so only the
+	// newest window entry can wait for the window to reach it; an older
+	// unissued entry is inside the window and waits on a completion.
+	if live := c.live(); len(live) > 0 {
+		m := live[len(live)-1]
+		if at := m.idx - c.cfg.ROB; !m.issued && at > c.retired && at < target {
 			target = at
 		}
 	}
@@ -443,6 +449,9 @@ func (c *Core) advance() {
 		if at := c.nextIdx - c.cfg.ROB; at > c.retired && at < target {
 			target = at
 		}
+	}
+	if target > limit {
+		return
 	}
 	if target > c.retired {
 		dt := (target - c.retired + c.cfg.Width - 1) / c.cfg.Width

@@ -209,6 +209,7 @@ func TestConfigValidation(t *testing.T) {
 		{Width: 1, ROB: 0, TargetInstr: 1, Submit: func(int64, bool, event.Func, any) {}},
 		{Width: 1, ROB: 1, TargetInstr: 0, Submit: func(int64, bool, event.Func, any) {}},
 		{Width: 1, ROB: 1, TargetInstr: 1},
+		{Width: 2, ROB: 1, TargetInstr: 1, Submit: func(int64, bool, event.Func, any) {}},
 	}
 	for i, cfg := range bad {
 		if _, err := New(eng, cfg, &sliceSource{}); err == nil {

@@ -48,57 +48,29 @@ type item struct {
 }
 
 // idxBits is the key space reserved for the pool-slot index: up to ~1M
-// concurrently pending events per engine, leaving 37 bits of sequence
-// numbers (~1.4e11 scheduled events) below the cross/src fields before
-// the engine refuses to run.
+// concurrently pending events per engine, leaving 44 bits of sequence
+// numbers (~1.7e13 scheduled events) before the engine refuses to run.
 const idxBits = 20
 
 const idxMask = 1<<idxBits - 1
 
-// crossBit marks a hop sent on a Link — a modelled fixed-latency hop
-// between components. It sits above the source and sequence fields so
-// that at equal (at, birth) every locally scheduled event precedes
-// every hop: a component's own reaction to an instant settles before
-// any message sent to it at that instant is delivered.
-const crossBit = uint64(1) << 63
-
-// srcBits is the key space for a hop's source index, directly below
-// the cross bit: hops landing at the same (at, birth) order by sender,
-// then per-sender send order. Ordering by sender identity rather than
-// by global scheduling order pins the tie-break to the model's
-// topology, which is what every recorded result encodes.
-const (
-	srcBits  = 6
-	srcShift = 63 - srcBits
-	// MaxHopSources bounds the source indices NewLink accepts.
-	MaxHopSources = 1 << srcBits
-)
-
-// heapEntry is one (at, birth, key) sort key: the element of the heap
-// and the now-queue, and the form a link's head takes in the merge.
-// A scheduled event's key holds seq<<idxBits | idx, with seq unique; a
-// hop's key is its link's crossBit | src<<srcShift. Comparing keys
-// therefore orders by (cross, src, seq).
+// heapEntry is one (at, key) sort key: the element of the heap and the
+// now-queue, and the form a link's head takes in the merge. key holds
+// seq<<idxBits | idx; seq is unique per scheduled event or sent hop, so
+// comparing keys orders by seq, and idx locates a heap or now-queue
+// entry's pool slot (a hop's key leaves it zero).
 type heapEntry struct {
-	at    int64
-	birth int64 // engine time when the event was scheduled
-	key   uint64
+	at  int64
+	key uint64
 }
 
 func (e heapEntry) idx() int32 { return int32(e.key & idxMask) }
 
-// before orders entries by (at, birth, cross, src, seq): same-time
-// events fire in birth order, then local-before-hop, then hops by
-// sender, then scheduling (FIFO) order. Birth never disagrees with seq
-// (the clock is monotone, so later-scheduled events are never
-// younger), so for purely local schedules this is the classic
-// (at, seq) FIFO; the cross and src terms only reorder hops (see Link).
+// before orders entries by (at, seq): same-time events fire in the
+// order they were scheduled or sent.
 func (a heapEntry) before(b heapEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.birth != b.birth {
-		return a.birth < b.birth
 	}
 	return a.key < b.key
 }
@@ -149,7 +121,7 @@ const arity = 4
 // call NewEngine.
 type Engine struct {
 	items []item      // slot pool; heap and free reference it by index
-	heap  []heapEntry // 4-ary min-heap ordered by (at, birth, seq)
+	heap  []heapEntry // 4-ary min-heap ordered by (at, seq)
 	free  []int32     // released slots available for reuse
 	links []*Link     // hop FIFOs, merged by head (see link.go)
 	now   int64
@@ -158,17 +130,16 @@ type Engine struct {
 	live  int // scheduled or sent, not cancelled, not fired
 	dead  int // cancelled but still occupying a heap entry
 
-	// nowQ holds local events scheduled at the current instant — the
+	// nowQ holds events scheduled at the current instant — the
 	// wake-at-now pattern the controllers lean on — as a plain FIFO
-	// that bypasses the heap. Correctness: such an entry has
-	// (at, birth) = (now, now) and no cross bit, so it is ordered
-	// after every heap entry at the same instant born earlier and
-	// before every hop at the same (at, birth); among themselves
-	// FIFO entries fire in seq (append) order. The clock cannot pass
-	// an entry's instant while it is live (all live events at or
-	// before the clock fire first), so the queue is sorted by the
-	// same (at, birth, key) relation the heap uses and merging its
-	// head on pop preserves the engine's total order.
+	// that bypasses the heap. Correctness: such an entry takes the
+	// newest seq, so it is ordered after every pending event and hop
+	// at the same instant, and among themselves FIFO entries fire in
+	// seq (append) order. The clock cannot pass an entry's instant
+	// while it is live (all live events at or before the clock fire
+	// first), so the queue is sorted by the same (at, seq) relation
+	// the heap uses and merging its head on pop preserves the
+	// engine's total order.
 	nowQ    []heapEntry
 	nowHead int
 }
@@ -228,15 +199,21 @@ func (e *Engine) AtFunc(t int64, fn Func, ctx any, arg int64) Token {
 	return e.schedule(t, fn, ctx, arg)
 }
 
-func (e *Engine) schedule(t int64, fn Func, ctx any, arg int64) Token {
-	if e.seq > 1<<(srcShift-idxBits)-1 {
+// nextKey takes the next sequence number, shifted into key position.
+func (e *Engine) nextKey() uint64 {
+	if e.seq > 1<<(64-idxBits)-1 {
 		panic("event: sequence space exhausted")
 	}
+	k := e.seq << idxBits
+	e.seq++
+	return k
+}
+
+func (e *Engine) schedule(t int64, fn Func, ctx any, arg int64) Token {
 	idx := e.alloc()
 	it := &e.items[idx]
 	it.fn, it.ctx, it.arg = fn, ctx, arg
-	ent := heapEntry{at: t, birth: e.now, key: e.seq<<idxBits | uint64(idx)}
-	e.seq++
+	ent := heapEntry{at: t, key: e.nextKey() | uint64(idx)}
 	e.live++
 	if t == e.now {
 		if e.nowHead == len(e.nowQ) {
@@ -260,7 +237,7 @@ const (
 )
 
 // peekLive prunes cancelled entries off the queue fronts and returns
-// the next live entry in (at, birth, key) order plus which structure
+// the next live entry in (at, seq) order plus which structure
 // holds it; fromNone when the engine is drained. Each structure is
 // sorted by that order, so comparing the heads merges them exactly.
 func (e *Engine) peekLive() (heapEntry, int) {
@@ -294,7 +271,7 @@ func (e *Engine) peekLive() (heapEntry, int) {
 			continue
 		}
 		h := &l.ring[l.head]
-		if ent := (heapEntry{at: h.at, birth: h.birth, key: l.key}); from == fromNone || ent.before(best) {
+		if ent := (heapEntry{at: h.at, key: h.key}); from == fromNone || ent.before(best) {
 			best, from = ent, fromLink+i
 		}
 	}
@@ -320,17 +297,6 @@ func (e *Engine) pop(ent heapEntry, from int) (Func, any, int64) {
 	fn, ctx, arg := it.fn, it.ctx, it.arg
 	e.release(ent.idx())
 	return fn, ctx, arg
-}
-
-// NextAt returns the timestamp of the next live event without running
-// it, pruning cancelled entries from the queue fronts on the way. The
-// second return is false when no live events remain.
-func (e *Engine) NextAt() (int64, bool) {
-	ent, from := e.peekLive()
-	if from == fromNone {
-		return 0, false
-	}
-	return ent.at, true
 }
 
 // AfterFunc schedules fn(ctx, arg) d nanoseconds from now.

@@ -259,39 +259,33 @@ func TestZeroTokenCancel(t *testing.T) {
 	tok.Cancel()
 }
 
-// TestSendTieBreak pins the link ordering at one instant: among
-// events born at the same time, local events fire before hops, hops
-// fire by sender index, and one sender's hops fire in send order; an
-// event born earlier fires before one born later whatever their kinds
-// and senders. The links are created out of source order, so only the
-// src term (not creation order) can put them in order.
+// TestSendTieBreak pins the order at one instant: events and hops
+// landing together fire in the order they were scheduled or sent. A
+// hop's place is fixed by its send, not by its departure: a deferred
+// hop sent before a local event fires first even though it departs
+// later, and hops on different links interleave in send order.
 func TestSendTieBreak(t *testing.T) {
 	e := NewEngine()
 	var got []string
 	rec := func(ctx any, _ int64) { got = append(got, ctx.(string)) }
-	l2 := e.NewLink(2, 10)
-	l0 := e.NewLink(0, 10)
-	l1 := e.NewLink(1, 10)
-	y0 := e.NewLink(3, 5)
+	a := e.NewLink(10)
+	b := e.NewLink(10)
+	short := e.NewLink(5)
+	b.Send(rec, "hop-b-1", 0)
+	e.AtFunc(10, rec, "local-1", 0)
+	a.Send(rec, "hop-a-1", 0)
+	short.SendAt(5, rec, "deferred-short", 0)
+	b.Send(rec, "hop-b-2", 0)
+	e.AtFunc(10, rec, "local-2", 0)
 	e.At(5, func() {
-		e.AtFunc(10, rec, "young-local", 0)
-		y0.Send(rec, "young-hop-src3", 0)
+		e.AtFunc(10, rec, "later-local", 0)
+		a.Send(rec, "later-hop", 0) // lands at 15
 	})
-	l2.Send(rec, "hop-src2-a", 0)
-	l0.Send(rec, "hop-src0", 0)
-	e.AtFunc(10, rec, "local-a", 0)
-	l1.Send(rec, "hop-src1-a", 0)
-	l2.Send(rec, "hop-src2-b", 0)
-	l1.Send(rec, "hop-src1-b", 0)
-	e.AtFunc(10, rec, "local-b", 0)
 	for e.Step() {
 	}
 	want := []string{
-		"local-a", "local-b",
-		"hop-src0",
-		"hop-src1-a", "hop-src1-b",
-		"hop-src2-a", "hop-src2-b",
-		"young-local", "young-hop-src3",
+		"hop-b-1", "local-1", "hop-a-1", "deferred-short", "hop-b-2", "local-2",
+		"later-local", "later-hop",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("fire order\n got: %v\nwant: %v", got, want)
@@ -341,44 +335,36 @@ func TestLinkPushOutOfOrderPanics(t *testing.T) {
 		f()
 	}
 	e := NewEngine()
-	l := e.NewLink(0, 5)
+	l := e.NewLink(5)
 	e.At(10, func() {})
 	e.Step()
 	mustPanic("depart before now", func() { l.SendAt(9, nop, nil, 0) })
 	l.SendAt(20, nop, nil, 0)
 	mustPanic("depart before previous departure", func() { l.SendAt(19, nop, nil, 0) })
 	mustPanic("send now behind a deferred hop", func() { l.Send(nop, nil, 0) })
-	mustPanic("duplicate source", func() { e.NewLink(0, 1) })
-	mustPanic("source out of range", func() { e.NewLink(MaxHopSources, 1) })
 }
 
 // refEvent is one pending entry of the reference model: the engine's
-// documented total order is (at, birth, cross, src, seq).
+// documented total order is (at, seq), with seq taken when an event is
+// scheduled or a hop is sent.
 type refEvent struct {
-	at, birth  int64
-	cross, src int
-	seq        int
-	id         int64
+	at  int64
+	seq int
+	id  int64
 }
 
 func (a refEvent) less(b refEvent) bool {
-	switch {
-	case a.at != b.at:
+	if a.at != b.at {
 		return a.at < b.at
-	case a.birth != b.birth:
-		return a.birth < b.birth
-	case a.cross != b.cross:
-		return a.cross < b.cross
-	case a.src != b.src:
-		return a.src < b.src
 	}
 	return a.seq < b.seq
 }
 
 // TestEventOrderMatchesReference drives one engine with a random mix of
 // local events (at-now included), cancellations, and link hops that
-// depart now or later, from several sources with different latencies
-// so that landings collide. Every handler checks that it is the minimum
+// depart now or later (deferred SendAt), on several links with
+// different latencies so that landings collide with each other and
+// with local events. Every handler checks that it is the minimum
 // of a naive sorted-list model of the pending set, then schedules more
 // work on both the engine and the model.
 func TestEventOrderMatchesReference(t *testing.T) {
@@ -393,11 +379,9 @@ func checkOrderAgainstReference(t *testing.T, seed uint64) {
 	e := NewEngine()
 	lats := []int64{0, 1, 3, 3}
 	var links []*Link
-	var srcs []int
 	var lastDepart []int64
-	for i, src := range rng.Perm(len(lats)) {
-		links = append(links, e.NewLink(src, lats[i]))
-		srcs = append(srcs, src)
+	for _, lat := range lats {
+		links = append(links, e.NewLink(lat))
 		lastDepart = append(lastDepart, 0)
 	}
 	type local struct {
@@ -424,7 +408,7 @@ func checkOrderAgainstReference(t *testing.T, seed uint64) {
 			case r < 4:
 				at := now + int64(rng.IntN(4)) // rng 0: at-now, the now-queue path
 				locals = append(locals, local{id, e.AtFunc(at, handler, nil, id)})
-				ref = append(ref, refEvent{at: at, birth: now, seq: seq, id: id})
+				ref = append(ref, refEvent{at: at, seq: seq, id: id})
 			case r < 8:
 				i := rng.IntN(len(links))
 				depart := max(now, lastDepart[i])
@@ -437,7 +421,7 @@ func checkOrderAgainstReference(t *testing.T, seed uint64) {
 					links[i].SendAt(depart, handler, nil, id)
 				}
 				lastDepart[i] = depart
-				ref = append(ref, refEvent{at: depart + lats[i], birth: depart, cross: 1, src: srcs[i], seq: seq, id: id})
+				ref = append(ref, refEvent{at: depart + lats[i], seq: seq, id: id})
 			default:
 				if len(locals) == 0 {
 					continue
@@ -485,7 +469,7 @@ func checkOrderAgainstReference(t *testing.T, seed uint64) {
 // fire, with no allocation once the ring has its capacity.
 func BenchmarkEngineLinkHop(b *testing.B) {
 	e := NewEngine()
-	l := e.NewLink(0, 15)
+	l := e.NewLink(15)
 	nop := func(any, int64) {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

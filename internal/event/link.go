@@ -6,15 +6,13 @@ package event
 // departs. Hops do not enter the engine's heap: they wait in the link's
 // ring, and the engine merges the link's head with its other queues.
 //
-// Ordering. A hop departing at d sorts as an event at d+Latency born at
-// d, with the cross bit and the link's source index in its key: at
-// equal (at, birth) it fires after every locally scheduled event, and
-// hops from different links resolve by src. Within one link, hops fire
-// in send order. Departures on a link never go backwards in time (a
-// push that would panics), and landing = departure + one fixed
-// latency, so the ring is sorted by the engine's (at, birth, key)
-// order and its head is always its minimum. The tie-break is part of
-// the model: recorded results depend on it, so it must not change.
+// Ordering. A hop takes its sequence number when it is sent, so it
+// sorts as an event at departure+Latency scheduled at the send: at one
+// instant it fires in send order with every other event and hop.
+// Departures on a link never go backwards in time (a push that would
+// panics), landing = departure + one fixed latency, and seqs only
+// grow, so the ring is sorted by the engine's (at, seq) order and its
+// head is always its minimum.
 //
 // A hop can depart now (Send) or at a later instant (SendAt): a
 // deferred hop departs without an event of its own, so a controller
@@ -22,7 +20,6 @@ package event
 // data transfer. Hops cannot be cancelled.
 type Link struct {
 	e    *Engine
-	key  uint64 // crossBit | src<<srcShift: every hop's tie-break key
 	lat  int64
 	ring []linkEntry // power-of-two capacity, grown only when full
 	head int         // ring index of the oldest hop
@@ -30,32 +27,22 @@ type Link struct {
 	last int64       // departure of the newest hop
 }
 
-// linkEntry is one queued hop: its landing and departure instants and
-// its pre-bound handler.
+// linkEntry is one queued hop: its landing instant, its send-time
+// sequence key and its pre-bound handler.
 type linkEntry struct {
-	at, birth int64
-	fn        Func
-	ctx       any
-	arg       int64
+	at  int64
+	key uint64
+	fn  Func
+	ctx any
+	arg int64
 }
 
-// NewLink returns a hop FIFO from source src with a fixed latency. Each
-// source owns at most one link per engine, so the source index alone
-// orders hops from different links.
-func (e *Engine) NewLink(src int, latency int64) *Link {
-	if src < 0 || src >= MaxHopSources {
-		panic("event: hop source out of range")
-	}
+// NewLink returns a hop FIFO with a fixed latency.
+func (e *Engine) NewLink(latency int64) *Link {
 	if latency < 0 {
 		panic("event: negative hop latency")
 	}
-	key := crossBit | uint64(src)<<srcShift
-	for _, l := range e.links {
-		if l.key == key {
-			panic("event: hop source already has a link")
-		}
-	}
-	l := &Link{e: e, key: key, lat: latency}
+	l := &Link{e: e, lat: latency}
 	e.links = append(e.links, l)
 	return l
 }
@@ -80,7 +67,7 @@ func (l *Link) SendAt(depart int64, fn Func, ctx any, arg int64) {
 	if l.n == len(l.ring) {
 		l.grow()
 	}
-	l.ring[(l.head+l.n)&(len(l.ring)-1)] = linkEntry{at: depart + l.lat, birth: depart, fn: fn, ctx: ctx, arg: arg}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = linkEntry{at: depart + l.lat, key: l.e.nextKey(), fn: fn, ctx: ctx, arg: arg}
 	l.n++
 	l.last = depart
 	l.e.live++
@@ -106,25 +93,4 @@ func (l *Link) pop() (Func, any, int64) {
 	l.head = (l.head + 1) & (len(l.ring) - 1)
 	l.n--
 	return fn, ctx, arg
-}
-
-// Head returns the landing instant of the link's oldest hop; false when
-// the link is empty.
-func (l *Link) Head() (int64, bool) {
-	if l.n == 0 {
-		return 0, false
-	}
-	return l.ring[l.head].at, true
-}
-
-// NextDeparture returns the earliest departure still in the future: the
-// first queued hop departing strictly after Now(). Hops departing at or
-// before Now() count as sent. False when every queued hop has departed.
-func (l *Link) NextDeparture() (int64, bool) {
-	for i := 0; i < l.n; i++ {
-		if d := l.ring[(l.head+i)&(len(l.ring)-1)].birth; d > l.e.now {
-			return d, true
-		}
-	}
-	return 0, false
 }

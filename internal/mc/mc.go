@@ -182,8 +182,9 @@ type Controller struct {
 	// legality is monotonic — commands elsewhere only push a bank's
 	// earliest time later, never earlier — so a cached time in the future
 	// lets scheduler passes skip the bank outright. The cache is cleared
-	// on enqueue (0 = unknown) and refreshed whenever the bank is
-	// scanned; a stale-early entry merely costs one extra scan.
+	// (0 = unknown) by an enqueue that can change the bank's pick (see
+	// pickNeutral) and refreshed whenever the bank is scanned; a
+	// stale-early entry merely costs one extra scan.
 	nextAt   []int64
 	bankCand int64 // scratch: candidate collected by the current issueBank call
 
@@ -192,8 +193,8 @@ type Controller struct {
 	// times. While now < sleepMin a scheduler pass skips the whole
 	// sleeping set with one compare instead of re-reading every
 	// bank's cache entry; the set is rebuilt on the first pass that
-	// reaches sleepMin. Enqueue pulls its bank out of the set (the
-	// cached time no longer holds); a then stale-low sleepMin only
+	// reaches sleepMin. A non-neutral Enqueue pulls its bank out of the
+	// set (the cached time no longer holds); a then stale-low sleepMin only
 	// costs one rebuilding scan, mirroring the nextAt staleness rule.
 	sleepMask uint64
 	sleepMin  int64
@@ -370,6 +371,7 @@ func (c *Controller) Enqueue(r *Request) {
 	s.col = int32(r.Col)
 	s.write = r.Write
 	q := &c.queues[r.Bank]
+	neutral := c.pickNeutral(r.Bank, int32(r.Row))
 	q.row = append(q.row, int32(r.Row))
 	q.idx = append(q.idx, si)
 	c.active |= 1 << uint(r.Bank)
@@ -377,12 +379,32 @@ func (c *Controller) Enqueue(r *Request) {
 	if c.trc != nil {
 		c.trc.QueueDepth(now, c.pending)
 	}
-	c.nextAt[r.Bank] = 0 // new work: the cached wake time no longer holds
-	c.sleepMask &^= 1 << uint(r.Bank)
-	c.wake(now)
+	if !neutral {
+		c.nextAt[r.Bank] = 0 // new work: the cached wake time no longer holds
+		c.sleepMask &^= 1 << uint(r.Bank)
+		c.wake(now)
+	}
 	if r.pooled {
 		c.recycleRequest(r)
 	}
+}
+
+// pickNeutral reports whether appending a request for row to bank's
+// queue leaves pick(bank) unchanged. A bank's next command and the
+// instant it becomes legal depend on its queue only through pick, so a
+// pick-neutral enqueue keeps the bank's cached nextAt and the pass
+// already armed for it, and needs no scheduler pass of its own. The
+// enqueue can change the pick only when the queue is empty or the
+// request becomes the only hit on the bank's open row (with
+// MaxHitStreak, a hit that may then lose to the oldest request is
+// still treated as a change).
+func (c *Controller) pickNeutral(bank int, row int32) bool {
+	q := &c.queues[bank]
+	if len(q.row) == 0 {
+		return false
+	}
+	open := int32(c.dev.OpenRow(bank))
+	return open < 0 || row != open || c.anyHit(bank, int(row))
 }
 
 // wake ensures a scheduler pass runs no later than at.
@@ -623,7 +645,7 @@ func (c *Controller) issueReady(now int64) bool {
 
 // never marks a bank with no future command of its own: only new work
 // (an enqueue) can change that, and enqueuing clears the cache entry.
-const never = Never
+const never int64 = 1<<63 - 1
 
 // earliestClose returns the earliest time the open row of bank may be
 // precharged with the flavour the cuBit dictates.
@@ -809,33 +831,6 @@ func (c *Controller) completeRead(bank, pos int, doneAt int64) {
 	}
 	c.freeSlot(si)
 }
-
-// TickAt returns the instant of the controller's pending scheduler
-// pass. Outside a running pass there is always one armed (protocol
-// deadlines guarantee it), so this is the earliest time the controller
-// can begin new work — with MinSchedGap it feeds the sim layer's
-// epoch horizon.
-func (c *Controller) TickAt() int64 {
-	if c.tickAt < 0 {
-		return Never
-	}
-	return c.tickAt
-}
-
-// MinSchedGap returns the minimum delay between a scheduler pass and
-// the earliest completion callback it can schedule: a column command
-// issued at t completes no earlier than t + min(TCL, TWL) + TBURST.
-// Every DRAM timing parameter is strictly positive, so the gap is too.
-func (c *Controller) MinSchedGap() int64 {
-	gap := c.cfg.Timing.TCL
-	if c.cfg.Timing.TWL < gap {
-		gap = c.cfg.Timing.TWL
-	}
-	return gap + c.cfg.Timing.TBURST
-}
-
-// Never is TickAt's "no pending instant" sentinel.
-const Never int64 = 1<<63 - 1
 
 // anyHit reports whether any queued request targets row in bank.
 func (c *Controller) anyHit(bank, row int) bool {

@@ -56,7 +56,7 @@ func TestRunContextCancelMidFlight(t *testing.T) {
 
 // TestRunContextCapThenResume stops a run at a time cap and resumes it:
 // the second call must finish exactly where an uninterrupted run does,
-// so a cap never shifts the epoch sequence the stop rule follows.
+// so a cap never changes which events the run executes.
 func TestRunContextCapThenResume(t *testing.T) {
 	cfg := Config{
 		Design:       DesignBaseline,

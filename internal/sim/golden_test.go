@@ -14,71 +14,89 @@ import (
 // goldenDigests pins the SHA-256 of each golden run's Result JSON, the
 // devices' full command logs, and (oracle-on runs) the oracle's
 // externally observable outputs. Any change to scheduling order,
-// tie-breaking, epoch stopping or accounting flips at least one of
+// tie-breaking, the stop rule or accounting flips at least one of
 // them, and such a change also needs a result-store revision
 // (hashVersion) because persisted results encode the old behaviour.
 var goldenDigests = map[string][3]string{
 	"attack": {
-		"144189887bdbaa689a5c15ab223110a1682e1861af8f5eef329c6d895dec70db",
+		"be46863347a54fd5f451473753d81ea530b846c391798d69ec416abf9648435d",
 		"9715862a9fd600b160f2a7f96adb133d11b83b3785a32020f62414d2e0f32265",
 		"14f0bf77c35ede45ff1b54acf58f9eae60d4a19ba9742c809faf7e9d6ba993b8",
 	},
 	"baseline": {
-		"b35fa30eda77acd5f92a3987d799d011bfc00f2c8e5d664d5ccddb27a856ce60",
-		"14ace8db745860eeaf4fcad9dde192da22f821d1cfdc3b861ba95907eeb658a4",
-		"123692fe87fc8021eff1fab84225af073e3f81edfe8c44cf7eba0c313bd06256",
+		"066fb457492b269067168b8fc5c76cb32bb8e57f649b27c77de36a107a7a38e0",
+		"ba66c00de86e6fcb2657747b111e2152bb799b955a32911ddddbf6319def634e",
+		"d26985e2cc2de9b48fd8ad74f20e5e6c7a34f04ceba32a16b0f3d89b20bb8ea5",
 	},
 	"chronos": {
-		"332a11f64a9d6cb5b987ec58453422728f1caf517f9c131f4a36fc5e8fbd95a6",
-		"f3810084d60ced41ec7651d979adb6beef3179a451fc593b8e1b447324e3eafd",
-		"45b80caa836109d8ade7a9f6f25ea176fedc56fe53a941eab67a6627cdaa4277",
+		"11c4b495faffd09e769e58e45086be664cd8f8896c722314add3dd349cf33ad9",
+		"da7cdf621f6f75542e9227549fb1f961f050d22e139b9c1f1c5ae975da1c8999",
+		"88f4f454ce42801ac6cb6ac35647fa605ac36aeb1b8a086068fb004bc3cdd930",
 	},
 	"default-cores": {
-		"dd33364352eaa0f04e835c0cc07891b5b67685caa56869c0c928c2e1a1243c43",
-		"a9c0c88cdbe43530760b85ca1c4b95b02dc55c25b955be133936aa89aba966d4",
+		"31df24db37d6938086f9c01d64c62ae4ab1c34f5d0924b4a2138a478de8ffb65",
+		"19a7fa9b4eb5d0257a71a6bce3d55892131f5086f0bc65e4e4b073e900ad2e46",
 		"",
 	},
 	"mint": {
-		"b0fa33153fd40a6b399a973290fb47c4f1cafba3c29ba0c03dc2a20d413bdf85",
-		"14ace8db745860eeaf4fcad9dde192da22f821d1cfdc3b861ba95907eeb658a4",
-		"123692fe87fc8021eff1fab84225af073e3f81edfe8c44cf7eba0c313bd06256",
+		"11089f2b365f7da74570a8665f9246b2d9d42d66b4c8f51a78495a142b3ce80b",
+		"ba66c00de86e6fcb2657747b111e2152bb799b955a32911ddddbf6319def634e",
+		"d26985e2cc2de9b48fd8ad74f20e5e6c7a34f04ceba32a16b0f3d89b20bb8ea5",
 	},
 	"mopac-c": {
-		"ed90e0a796e360cf78ba4e7c752b812403464d6c82a047079faf558f4eaff576",
-		"9d0206f71618ffbc63282af16325beae18918695d3dc393d140a2b4653ecf4de",
-		"56be9aa104c2ce012241808b03b85fefd132db6eb56c7c7c000a3aee12110ada",
+		"0f373f7abdc127147b35a57c44d1f44ff7225f4f179480adf99667f294a3dcaa",
+		"a064f5123cfbc0bca2c186923a652a58e8f0add792226177a6fd4d93bac2fdca",
+		"50e0971b6c8dae05524cad2e861bd56e440f03ada570e3e94378eb0aa8b0fd6b",
 	},
 	"mopac-d": {
-		"01e86de2f32b9dc544c5fd79089ead3c2bad75d072c5ed39395a534725056782",
-		"14ace8db745860eeaf4fcad9dde192da22f821d1cfdc3b861ba95907eeb658a4",
-		"123692fe87fc8021eff1fab84225af073e3f81edfe8c44cf7eba0c313bd06256",
+		"913104980e3d4e199a0938ebc85e0bf7796f50c478be35a95ff41bdb2cfb24e1",
+		"ba66c00de86e6fcb2657747b111e2152bb799b955a32911ddddbf6319def634e",
+		"d26985e2cc2de9b48fd8ad74f20e5e6c7a34f04ceba32a16b0f3d89b20bb8ea5",
 	},
 	"prac": {
-		"36fa99d4251200982b242a521ba77d4cdd1f31ffd0ff92ce27f1e8475895ef2a",
-		"d357d9ff452fd19f05e476a3f4a77624aaf98af2efaa0d9b2aa1994e44b836f5",
-		"846bca0922e24dd5da0b2358d68c333a08a41bd399666f4686e7d6754b1d11b0",
+		"810e19be69f387c12863cd45b701aed538f52c7cb442ebc9dc5d20cc717fd99b",
+		"8cea400d6ee6750d53e37ce4fca1d92ea50ca42b3820ecf08b1cea3c37d4ec3e",
+		"9825ce1f697ae1188298dc4453432a47b06ce161b634e9290e06f2de73820da9",
 	},
 	"pride": {
-		"c72a0478c1df6fa7e1e589a0065e6849b755091dd1eac0004c9bbba5f6e3526e",
-		"14ace8db745860eeaf4fcad9dde192da22f821d1cfdc3b861ba95907eeb658a4",
-		"b7ea45f0cde0e7cdd4426826b1a65b6822bb96a65167af73bc56f58498fe8ba9",
+		"ac4961d5b46d9c5279eba84a4ab6c784a5317b4b58f694a0cf01b6e2025c8b8d",
+		"ba66c00de86e6fcb2657747b111e2152bb799b955a32911ddddbf6319def634e",
+		"41f421cc47e56813ce4b40e685a864a2c8c5528bd428734c3f260c65b1e05d1d",
 	},
 	"qprac": {
-		"d7c42f6aea6c372e3d4d7a23f2bc5b4cb7e63f429616b2e4714f9a0ef19fb927",
-		"d357d9ff452fd19f05e476a3f4a77624aaf98af2efaa0d9b2aa1994e44b836f5",
-		"846bca0922e24dd5da0b2358d68c333a08a41bd399666f4686e7d6754b1d11b0",
+		"046bd35f625b89cad6a401b44ac2fb8b49891e6ee8d07bcfd9a00697312d56c2",
+		"8cea400d6ee6750d53e37ce4fca1d92ea50ca42b3820ecf08b1cea3c37d4ec3e",
+		"9825ce1f697ae1188298dc4453432a47b06ce161b634e9290e06f2de73820da9",
 	},
 	"trr": {
-		"76c0fb817ac05cbd929d984da42d5b97e3b993b84edd8d92bf5809496c5d1e5f",
-		"14ace8db745860eeaf4fcad9dde192da22f821d1cfdc3b861ba95907eeb658a4",
-		"123692fe87fc8021eff1fab84225af073e3f81edfe8c44cf7eba0c313bd06256",
+		"a063ed1eee89307de6bd47f74d67279e67fe4912bac5b2b951df914df95b2c42",
+		"ba66c00de86e6fcb2657747b111e2152bb799b955a32911ddddbf6319def634e",
+		"d26985e2cc2de9b48fd8ad74f20e5e6c7a34f04ceba32a16b0f3d89b20bb8ea5",
 	},
+}
+
+// goldenEvents pins the exact number of events each golden run fires.
+// The digests above catch any change to what a run computes; this
+// catches a change to what it costs: an event that fires but changes
+// no state leaves every digest alone and moves this count.
+var goldenEvents = map[string]uint64{
+	"attack":        100655,
+	"baseline":      12651,
+	"chronos":       12699,
+	"default-cores": 164348,
+	"mint":          12651,
+	"mopac-c":       12639,
+	"mopac-d":       12651,
+	"prac":          12525,
+	"pride":         12651,
+	"qprac":         12525,
+	"trr":           12651,
 }
 
 // goldenConfigs returns the pinned runs: every registered design at a
 // small scale with the oracle on, one default-cores (8) run in which
-// both controllers complete accesses at the same instant (seed 2 is one
-// whose result depends on Send ordering those hops by sender), and
+// both controllers complete accesses at the same instant, so the
+// result depends on the order of same-instant return hops, and
 // one oracle-on attack-spec workload that drives MoPAC-D through ABO
 // episodes and mitigations. Each command-log depth exceeds the run's
 // per-device command count, so the digest covers the whole stream.
@@ -174,40 +192,10 @@ func TestResultDigestGolden(t *testing.T) {
 			if got != want {
 				t.Errorf("digests diverged\n got: %q\nwant: %q", got, want)
 			}
+			if got, want := sys.Engine().Fired(), goldenEvents[name]; got != want {
+				t.Errorf("fired %d events, want %d", got, want)
+			}
 		})
-	}
-}
-
-// TestEpochStartTimeNs pins TimeNs for short runs that the epoch start
-// rule decides: an epoch starts at the earliest pending instant, which
-// may be a completion departing on a return link rather than an event.
-// Starting epochs at the next event instead moves every value below,
-// while the digests above happen not to depend on it.
-func TestEpochStartTimeNs(t *testing.T) {
-	for _, c := range []struct {
-		design   sim.Design
-		workload string
-		seed     uint64
-		want     int64
-	}{
-		{sim.DesignBaseline, "bwaves", 4, 1888},
-		{sim.DesignBaseline, "mcf", 2, 1684},
-		{sim.DesignBaseline, "lbm", 3, 1455},
-		{sim.DesignPRAC, "bwaves", 7, 2320},
-		{sim.DesignPRAC, "mcf", 4, 1745},
-		{sim.DesignMoPACC, "bwaves", 6, 2110},
-	} {
-		sys, err := sim.NewSystem(sim.Config{Design: c.design, Workload: c.workload, Seed: c.seed, InstrPerCore: 3000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.Run(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.TimeNs != c.want {
-			t.Errorf("%v %s seed %d: TimeNs = %d, want %d", c.design, c.workload, c.seed, res.TimeNs, c.want)
-		}
 	}
 }
 
@@ -217,24 +205,24 @@ func TestEpochStartTimeNs(t *testing.T) {
 // how the configuration itself is encoded, so they change only when a
 // DRAM command, an oracle output or a measured statistic does.
 var knobGridDigests = map[string]string{
-	"baseline-nup":       "1bbfc27c4f1ee2bd222b6062ce177731f5427765e7e5eb5fe293eb28e521cdc3",
-	"chronos-postponed":  "7897d3eade687cba9c0dba5b9026b883c1924fcfa6f2b5889ad3a8f9adb1e510",
-	"mint-chips1-nup":    "5f81c95d9cc34f18741cda8d5d1d66ccb4f9522657251342e7fff52882250464",
-	"mopac-c-pinv":       "f3db8924a0ef69504fc0fc7ff9b9bce072bcddaeefaf4da372324ac9a59ddf60",
-	"mopac-c-rowpress":   "d712f68478a7778a981ac5ab6a0d60c2972941a372217b132cd4c0e6a4a3bcb9",
-	"mopac-c-srq-drain0": "bbfabed2243555d3e1ca1016b1b8a587296f5dc2524a14f9eee67c9180c2afe0",
-	"mopac-d-chips1":     "bb848214f0e8a525806e52e57a763c8d0c01c0dce5ddf2f8effc53c1aed67c79",
-	"mopac-d-close":      "2579100e575657b9bbeb959863c45eb7c1c4d7058f57934525ba7002fd5e6a78",
-	"mopac-d-drain0":     "0fa2b782a59b808ea9ee6e949d63b7574a6ed0f119fe3c5d61b1396251b7d6ec",
-	"mopac-d-nup":        "5f66bb3341efef7611d66114f0f68c6834eff6290336369fe2f066dcfbaa9d31",
-	"mopac-d-nup-rowpr":  "e7b876d3f38337bf9e7c43b8729352df5baf9297c2ef81dcc6921fc46d017264",
-	"mopac-d-pinv":       "e13b9d2bcae20d9951198edb1495468a10406146549d7c9b3eebd5e32e7c0dd2",
-	"mopac-d-rowpress":   "0872c90aea68dae692f1980e2e06dd5766fb21f47957a2f1818dd63542fad38a",
-	"mopac-d-srq":        "390cdfc8ec734c66b42547f10519b9f6fc670f2b44783d849e7412bc16f143a7",
-	"prac-rfm2":          "9f1f527ecfb0d3be9bf5b0d8d16162567390f161d15a14aa5f7890514abe91c4",
-	"prac-rowpress":      "91ccd7237cb08c50826d1f36e0135b4e380a56bdfc3dc787997cd124ad82626d",
-	"prac-timeout":       "5ddfc9d7d400b25902e02fdf7c461481c483f64a62c24ed3883f89580392b784",
-	"qprac-chips1-pinv":  "5c04767d7226a7a9facb6868133a0e9a7f09dc79b239312a6bc0b540ce337bc3",
+	"baseline-nup":       "5bb7d47ab6fefd23ff5fe570bc8b1519c07bfd1cdde64917aa5985b5dcc93997",
+	"chronos-postponed":  "014636186d736080862466581cda21a82e9bd692463f0783c922ee22c8d09343",
+	"mint-chips1-nup":    "f3adced6fa9c9ddfa47e9348752e9509810b7f5bdb10f4a61a926133e930d484",
+	"mopac-c-pinv":       "4ddd91f5911da0de5a7ceaf4dfaa2ae8f9f7073bf6af4cd5af31a4ae8a6553fc",
+	"mopac-c-rowpress":   "d81f89d0f3cf98212bd4c47af00f956b8b7148db3e53e41b61a4ded374520232",
+	"mopac-c-srq-drain0": "db0d3809e1dd0ff50d449b28f19013cd9164fa570e56bd920c90ee22c50d39de",
+	"mopac-d-chips1":     "9495721924a2dd050133c0b9e855929e8e9a6c30c9ee56216ea9c291d803473e",
+	"mopac-d-close":      "c03b7d4bfb53610ffcab82abe15b5b0d6ac122492b4a1ca7bafb19f9662a6bca",
+	"mopac-d-drain0":     "d2b221bc164a5e1283049ea751a603185e9160b192e32ceca699ba323522f09d",
+	"mopac-d-nup":        "da6b0a05f642c7ca10d07a60b3f2e1402ef653ec6f407d7d6dccf30f56248b96",
+	"mopac-d-nup-rowpr":  "14133f8f22a142279de4ef88c998293705be07b447e5b7cec52e46ad53b9f046",
+	"mopac-d-pinv":       "4940d3205b4fd47e07cd88cbfeaa13df552b226e01a1410a6e553bb45053eb3e",
+	"mopac-d-rowpress":   "fd6775bf705555ecb4e939aa3b77768a4c575eb08dc9706b38aa279f62d34a6f",
+	"mopac-d-srq":        "f7a16371e60d848fe630c5e4eeab6de9023462551b66cfb87f8110e5e28d4b20",
+	"prac-rfm2":          "ac0326557c02f98f406d3f0b02a00a155bf29bee12b0ed0ca1176128a6e21165",
+	"prac-rowpress":      "998247da1089a6c0662bae75c3b264dab38fcb2e16fcf945ba05d9152e1943fc",
+	"prac-timeout":       "ed1f4282ab90960545178124e75a515599c4c57edeecaa01de485f4d6bd14c4d",
+	"qprac-chips1-pinv":  "c712f0c921d4d3b4c553d4d7f8cb79a8a33f4b7a7379aef054cf3d2f117a27c2",
 }
 
 // knobGrid returns runs that set the design knobs the per-design

@@ -10,8 +10,11 @@ import "mopac/internal/runkey"
 // stopping mid-window at the final retirement), which shifts tail
 // stats slightly, so v1 records no longer describe v2 runs. v3: the
 // QPRAC backend flag was removed (DesignQPRAC is its one spelling), so
-// the field list changed.
-const hashVersion = "mopac-config-v3"
+// the field list changed. v4: the event order became (at, seq), the run
+// stops at the last core's retirement, and controllers and cores no
+// longer schedule passes that cannot act, so v3 records no longer
+// describe v4 runs.
+const hashVersion = "mopac-config-v4"
 
 // Hash returns a content-addressed key for the run the configuration
 // describes. The config is normalised first (setDefaults), so a zero
@@ -62,8 +65,8 @@ func (c Config) addHashFields(b *runkey.Builder) {
 // live in their own schema ("attack-v1") and keyspace: the version
 // line guarantees an attack key can never collide with a figure-run
 // key even inside a shared directory. v2 follows the base config's
-// v3 field list.
-const attackHashVersion = "mopac-attack-v2"
+// v3 field list; v3 follows the v4 event model.
+const attackHashVersion = "mopac-attack-v3"
 
 // Hash returns the content-addressed key of one attack-candidate
 // evaluation: the base design config, every pattern knob, and the

@@ -62,9 +62,9 @@ func TestHashGolden(t *testing.T) {
 		want string
 	}{
 		{Config{},
-			"e5189aaaa327f02362a30dfe5ded6f51e2b2fa8904d5ad6c66e12713ca899569"},
+			"4e1a9c49e6896a3158eaaa851f7931f5624448f3cc6204fbcce146ffc012977d"},
 		{Config{Design: DesignMoPACD, Workload: "lbm", Seed: 1},
-			"ddd729fc3cc28a30a97e3f0cde48273a663b487479e7d8a36edcf104ee5d561c"},
+			"7e1e3a2c8fc04241b78e57731e44b37c316e0b82b79195c6c02e51168fcc8ada"},
 	}
 	for i, g := range golden {
 		if got := g.cfg.Hash(); got != g.want {

@@ -35,7 +35,7 @@ type ResultStore interface {
 // StoreSchema names the planner's persisted record type. It is part of
 // the on-disk namespace: bump it (alongside hashVersion, if the key
 // encoding changed) when the Result encoding changes shape.
-const StoreSchema = "result-v1"
+const StoreSchema = "result-v2"
 
 // PlanStats reports what a planner did, for dedup-observability in the
 // CLI and the warm-run assertions in CI.

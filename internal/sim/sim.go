@@ -175,13 +175,9 @@ type System struct {
 	running int // cores that have not yet retired their target
 
 	// Frontend hops (FrontendLatencyNs each way): one arrival link from
-	// the core complex (source index = subchannel count, after every
-	// controller's) and one return link per subchannel (source index =
-	// subchannel). gap is the controllers' shared minimum
-	// issue-to-completion delay. horizonBound reads all three.
+	// the core complex and one return link per subchannel.
 	arrive *event.Link
 	ret    []*event.Link
-	gap    int64
 }
 
 // NewSystem wires a system for the configuration.
@@ -262,11 +258,9 @@ func NewSystem(c Config) (*System, error) {
 		}
 		s.devs = append(s.devs, dev)
 		s.ctrls = append(s.ctrls, ctl)
-		s.ret = append(s.ret, s.eng.NewLink(sub, FrontendLatencyNs))
+		s.ret = append(s.ret, s.eng.NewLink(FrontendLatencyNs))
 	}
-	s.arrive = s.eng.NewLink(geo.Subchannels, FrontendLatencyNs)
-	// All controllers share one timing set, so one gap serves them all.
-	s.gap = s.ctrls[0].MinSchedGap()
+	s.arrive = s.eng.NewLink(FrontendLatencyNs)
 
 	// An empty workload name builds a coreless system; attack drivers
 	// (RunAttack) attach their own sources. An "attack:<spec>" name
@@ -437,111 +431,14 @@ func (s *System) Run(maxNs int64) (Result, error) {
 	return s.RunContext(context.Background(), maxNs)
 }
 
-// maxEpochNs caps epochs at about a millisecond of simulated time.
-// The horizon terms keep epochs far below this in practice (a
-// controller always has a scheduler pass armed no later than its next
-// tREFI deadline); the cap just bounds the idle jump and keeps the
-// bound arithmetic clear of overflow when no send source is pending.
-const maxEpochNs = 1 << 20
-
-// horizonBound returns the exclusive epoch bound for an epoch starting
-// at start (the earliest pending instant): ES + FrontendLatencyNs,
-// where ES lower-bounds the earliest instant any component could send a
-// frontend hop from the current state. No hop sent inside the epoch can
-// land before the bound, because a hop sent at t >= ES arrives at
-// t + FrontendLatencyNs >= bound.
-//
-// ES is the minimum over every send source in the system:
-//
-//   - each core's pending self-wake (an advance can submit new misses
-//     at its own instant, and miss completions arriving mid-epoch only
-//     wake the core at strictly later times);
-//   - each completion still waiting to depart on a return link: it is
-//     the controller->core hop itself;
-//   - each completion hop in flight toward the cores (its delivery can
-//     trigger new submissions at its own instant) — the return links'
-//     heads;
-//   - each controller's next chance to *schedule* a new completion: no
-//     scheduler pass runs before min(tick, earliest pending arrival
-//     hop), and a pass at t cannot complete a column access before
-//     t + MinSchedGap. DRAM devices and mitigation guards are passive
-//     (they never schedule events), so controller passes and the
-//     completions they schedule are the only controller-side sources.
-//     All controllers share one gap, so one arrival term (the arrival
-//     link's head) serves them all.
-//
-// Events already pending at times below the returned ES cannot send:
-// they are controller scheduler passes and arrival deliveries, whose
-// sends are bounded by the gap term above.
-//
-// The bounds form the epoch sequence RunContext stops on, so they fix
-// the set of events a finished run has executed, and with it TimeNs
-// and every recorded result.
-func (s *System) horizonBound(start int64) int64 {
-	es := s.nextDeparture()
-	for _, c := range s.cores {
-		if w := c.WakeAt(); w >= 0 && w < es {
-			es = w
-		}
-	}
-	for _, l := range s.ret {
-		if t, ok := l.Head(); ok && t < es {
-			es = t
-		}
-	}
-	evt, ok := s.arrive.Head()
-	if !ok {
-		evt = mc.Never
-	}
-	for _, ctl := range s.ctrls {
-		if t := ctl.TickAt(); t < evt {
-			evt = t
-		}
-	}
-	if evt != mc.Never && evt+s.gap < es {
-		es = evt + s.gap
-	}
-	// Sends happen inside event executions, so nothing can send before
-	// the earliest pending instant either way; clamping also restores
-	// progress when a tracked instant has already passed.
-	if es < start {
-		es = start
-	}
-	if es > start+maxEpochNs {
-		es = start + maxEpochNs
-	}
-	return es + FrontendLatencyNs
-}
-
-// nextDeparture returns the earliest completion hop still waiting to
-// depart on a return link, or mc.Never.
-func (s *System) nextDeparture() int64 {
-	t := mc.Never
-	for _, l := range s.ret {
-		if d, ok := l.NextDeparture(); ok && d < t {
-			t = d
-		}
-	}
-	return t
-}
-
 // RunContext is Run with cooperative cancellation: the context is
 // polled every cancelCheckEvents executed events, so per-job deadlines,
 // client aborts, and server drains interrupt a run mid-flight. A
 // cancelled run returns an error wrapping both ErrCanceled and the
 // context's cause.
 //
-// The engine advances in epochs bounded by horizonBound, and the
-// finish condition (every core retired its target) is evaluated at
-// epoch boundaries: a finished run has executed exactly "everything
-// before the first boundary at which all cores are done". Recorded
-// results (TimeNs included) encode this stop rule, so it must not
-// change without a result-store revision.
-//
-// An epoch starts at the earliest pending instant: the next event, or
-// a completion departing before it. A departure is an instant of the
-// model (the controller->core hop leaves then) even though no event
-// fires there, so it starts an epoch exactly as an event would.
+// The run stops at the event that retires the last core's target, so
+// TimeNs is the instant the last core finished.
 func (s *System) RunContext(ctx context.Context, maxNs int64) (Result, error) {
 	if maxNs <= 0 {
 		maxNs = 1_000_000_000
@@ -552,27 +449,12 @@ func (s *System) RunContext(ctx context.Context, maxNs int64) (Result, error) {
 	if ctx.Err() != nil {
 		return canceled()
 	}
-	steps := 0
-	for s.running > 0 {
-		at, ok := s.eng.NextAt()
-		if !ok {
-			break
-		}
-		if d := s.nextDeparture(); d < at {
-			at = d
-		}
-		if at >= maxNs {
-			break
-		}
-		steps += s.eng.RunUntil(s.horizonBound(at) - 1)
-		if steps >= cancelCheckEvents {
-			steps = 0
-			if ctx.Err() != nil {
-				return canceled()
-			}
+	for steps := 1; s.running > 0 && s.eng.Now() < maxNs && s.eng.Step(); steps++ {
+		if steps%cancelCheckEvents == 0 && ctx.Err() != nil {
+			return canceled()
 		}
 	}
-	if s.running > 0 {
+	if s.running > 0 || s.eng.Now() >= maxNs {
 		return Result{}, fmt.Errorf("sim: run hit the %d ns cap before all cores finished", maxNs)
 	}
 	return s.collect(), nil

@@ -10,7 +10,7 @@
 //   - Entries are immutable. A key fully determines its content
 //     (seeded runs are deterministic), so there is no invalidation —
 //     only versioning: records live under <dir>/<schema>/<revision>/,
-//     where schema names the record type ("result-v1", "summary-v1")
+//     where schema names the record type ("result-v2", "summary-v1")
 //     and revision is the builder's VCS revision (buildinfo). A new
 //     binary writes a fresh namespace and old entries simply go cold.
 //   - Writes are atomic: a record is written to an O_EXCL temp file in
