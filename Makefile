@@ -17,15 +17,20 @@ race:
 	$(GO) test -race ./...
 
 # The benchmarks BENCH_baseline.json tracks: end-to-end simulator
-# throughput (ns/op, simNs/op, events/op, allocs/op) and the
-# event-engine hot paths. -benchtime=5x pins SimulatorThroughput to
-# seeds 1-5 so its simNs/op and events/op metrics are exactly
-# reproducible run to run; the engine microbenchmarks use a fixed
-# iteration count, and mopac-bench keeps the median of the -count runs.
+# throughput (ns/op, simNs/op, events/op, bankVisits/op, allocs/op),
+# the controller layer alone (ControllerReplay: cmds/op, bankVisits/op)
+# and the event-engine hot paths. -benchtime=5x pins
+# SimulatorThroughput to seeds 1-5 so its simNs/op, events/op and
+# bankVisits/op metrics are exactly reproducible run to run; the other
+# benchmarks use a fixed iteration count. mopac-bench keeps the median
+# of the -count runs and the runs themselves: with five a side,
+# bench-check prints a Mann-Whitney p-value beside each delta.
 BENCH_RUN = ( $(GO) test -run='^$$' -bench='SimulatorThroughput|HammerThroughput' \
-		-benchmem -benchtime=5x -count=3 . && \
+		-benchmem -benchtime=5x -count=5 . && \
+	$(GO) test -run='^$$' -bench='ControllerReplay' \
+		-benchmem -benchtime=10x -count=5 ./internal/mc/ && \
 	$(GO) test -run='^$$' -bench='ScheduleAndFire|Engine' \
-		-benchmem -benchtime=2000000x -count=3 ./internal/event/ )
+		-benchmem -benchtime=2000000x -count=5 ./internal/event/ )
 
 bench:
 	$(BENCH_RUN) | $(GO) run ./cmd/mopac-bench -o BENCH_baseline.json

@@ -293,12 +293,13 @@ func BenchmarkSecurityValidation(b *testing.B) {
 
 // BenchmarkSimulatorThroughput measures raw simulation speed:
 // simulated nanoseconds per wall second on a busy baseline system.
-// simNs/op and events/op (events the engine fired per run) are
+// simNs/op, events/op (events the engine fired per run) and
+// bankVisits/op (banks the controllers' scheduler passes scanned) are
 // deterministic per seed, so the regression gate pins them exactly
 // where wall-clock ns/op only gets a tolerance.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
-	var simNs int64
+	var simNs, visits int64
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		sys, err := sim.NewSystem(Config{
@@ -313,22 +314,25 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 		simNs += res.TimeNs
 		events += sys.Engine().Fired()
+		visits += bankVisits(sys)
 	}
 	b.ReportMetric(float64(simNs)/float64(b.N), "simNs/op")
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(visits)/float64(b.N), "bankVisits/op")
 }
 
 // BenchmarkHammerThroughput measures attack-mode simulation speed: the
 // inner loop of the mopac-attack search, run as Hammer runs it (one
 // attacker core, the engine stepped until the oracle has counted the
-// activations). hammerNs/op is the simulated attack duration and
-// events/op the events fired; both are deterministic per seed, so the
+// activations). hammerNs/op is the simulated attack duration,
+// events/op the events fired and bankVisits/op the banks scheduler
+// passes scanned; all are deterministic per seed, so the
 // regression gate can pin them alongside the wall-clock ns/op and
 // allocs/op it tolerances.
 func BenchmarkHammerThroughput(b *testing.B) {
 	const acts = 20_000
 	b.ReportAllocs()
-	var simNs int64
+	var simNs, visits int64
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		sys, err := sim.NewSystem(Config{Design: MoPACD, TRH: 500, Seed: uint64(i + 1), TrackSecurity: true})
@@ -353,9 +357,21 @@ func BenchmarkHammerThroughput(b *testing.B) {
 		}
 		simNs += eng.Now()
 		events += eng.Fired()
+		visits += bankVisits(sys)
 	}
 	b.ReportMetric(float64(simNs)/float64(b.N), "hammerNs/op")
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(visits)/float64(b.N), "bankVisits/op")
+}
+
+// bankVisits sums the banks the system's scheduler passes scanned: the
+// controllers' share of a run's work, deterministic per seed.
+func bankVisits(sys *sim.System) int64 {
+	var n int64
+	for _, c := range sys.Controllers() {
+		n += c.BankVisits()
+	}
+	return n
 }
 
 // --- Ablation benchmarks: the design choices DESIGN.md calls out ---

@@ -14,9 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,12 +30,14 @@ import (
 // ("ns/op", "allocs/op", plus custom b.ReportMetric units such as
 // "simNs/op"). Repeated -count samples of the same benchmark keep the
 // median per metric, so one slow sample on a noisy host does not move
-// it, and Spread records each metric's [min, max] over the samples.
+// it; Spread records each metric's [min, max] over the samples and
+// Samples the samples themselves in run order, which -against tests
+// for a significant shift.
 type Entry struct {
 	Iterations int64                 `json:"iterations"`
 	Metrics    map[string]float64    `json:"metrics"`
 	Spread     map[string][2]float64 `json:"spread,omitempty"`
-	samples    map[string][]float64
+	Samples    map[string][]float64  `json:"samples,omitempty"`
 }
 
 // median returns the middle sample (the mean of the middle two for an
@@ -115,26 +119,31 @@ func parse(r io.Reader, echo io.Writer) (Report, error) {
 		}
 		e, seen := rep.Benchmarks[name]
 		if !seen {
-			e = Entry{samples: map[string][]float64{}}
+			e = Entry{Samples: map[string][]float64{}}
 		}
 		e.Iterations += iters
 		for unit, v := range metrics {
-			e.samples[unit] = append(e.samples[unit], v)
+			e.Samples[unit] = append(e.Samples[unit], v)
 		}
 		rep.Benchmarks[name] = e
 	}
 	for name, e := range rep.Benchmarks {
 		e.Metrics = map[string]float64{}
-		for unit, xs := range e.samples {
-			e.Metrics[unit] = median(xs)
+		for unit, xs := range e.Samples {
+			sorted := slices.Clone(xs)
+			e.Metrics[unit] = median(sorted)
 			if len(xs) > 1 {
 				if e.Spread == nil {
 					e.Spread = map[string][2]float64{}
 				}
-				e.Spread[unit] = [2]float64{xs[0], xs[len(xs)-1]}
+				e.Spread[unit] = [2]float64{sorted[0], sorted[len(sorted)-1]}
+			} else {
+				delete(e.Samples, unit)
 			}
 		}
-		e.samples = nil
+		if len(e.Samples) == 0 {
+			e.Samples = nil
+		}
 		rep.Benchmarks[name] = e
 	}
 	return rep, sc.Err()
@@ -143,6 +152,9 @@ func parse(r io.Reader, echo io.Writer) (Report, error) {
 // compare prints a per-metric delta table of cur versus base medians
 // and reports regressions beyond tol (fractional; 0.3 = 30%). Only growth
 // is a failure: ns/op, B/op and allocs/op are all better when smaller.
+// Where both sides kept at least minSamples samples of a metric, the row
+// also shows the two-sided Mann-Whitney p-value of the shift; it informs
+// the reader, while the gate stays the median tolerance.
 // A non-empty only set restricts the check (and the table) to those
 // units — CI gates on the deterministic simNs/op this way without
 // tripping on shared-runner wall-clock noise. Benchmarks present on
@@ -176,16 +188,72 @@ func compare(base, cur Report, tol float64, only map[string]bool, w io.Writer) (
 				continue
 			}
 			growth := cv/bv - 1
+			sig := ""
+			if xs, ys := b.Samples[unit], c.Samples[unit]; len(xs) >= minSamples && len(ys) >= minSamples {
+				_, p := mannWhitney(xs, ys)
+				sig = fmt.Sprintf("  p=%.3f", p)
+			}
 			mark := ""
 			if growth > tol {
 				failures++
 				mark = fmt.Sprintf("  << REGRESSION (tolerance %.0f%%)", 100*tol)
 			}
-			fmt.Fprintf(w, "%-44s %-14s %12.5g -> %12.5g  %+6.1f%%%s\n",
-				name, unit, bv, cv, 100*growth, mark)
+			fmt.Fprintf(w, "%-44s %-14s %12.5g -> %12.5g  %+6.1f%%%s%s\n",
+				name, unit, bv, cv, 100*growth, sig, mark)
 		}
 	}
 	return failures
+}
+
+// minSamples is the per-side sample count below which compare prints no
+// p-value: with fewer, the normal approximation is too coarse to read.
+const minSamples = 5
+
+// mannWhitney returns the Mann-Whitney U statistic of xs against ys
+// (the number of (x, y) pairs with x > y, ties counting half) and its
+// two-sided p-value under the normal approximation with the tie
+// correction, without continuity correction. When every sample ties,
+// nothing separates the sides and p is 1.
+func mannWhitney(xs, ys []float64) (u, p float64) {
+	type obs struct {
+		v float64
+		x bool
+	}
+	all := make([]obs, 0, len(xs)+len(ys))
+	for _, v := range xs {
+		all = append(all, obs{v, true})
+	}
+	for _, v := range ys {
+		all = append(all, obs{v, false})
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
+	// Rank the pooled samples from 1, giving each tie group its mean
+	// rank, and sum the ranks of xs and the tie correction t^3 - t.
+	var rankX, ties float64
+	for i := 0; i < len(all); {
+		j := i
+		for j < len(all) && all[j].v == all[i].v {
+			j++
+		}
+		rank := float64(i+j+1) / 2
+		for _, o := range all[i:j] {
+			if o.x {
+				rankX += rank
+			}
+		}
+		t := float64(j - i)
+		ties += t*t*t - t
+		i = j
+	}
+	n1, n2 := float64(len(xs)), float64(len(ys))
+	n := n1 + n2
+	u = rankX - n1*(n1+1)/2
+	variance := n1 * n2 / 12 * ((n + 1) - ties/(n*(n-1)))
+	if variance <= 0 {
+		return u, 1
+	}
+	z := (u - n1*n2/2) / math.Sqrt(variance)
+	return u, math.Erfc(math.Abs(z) / math.Sqrt2)
 }
 
 func main() {

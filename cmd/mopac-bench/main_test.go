@@ -2,6 +2,8 @@ package main
 
 import (
 	"io"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -120,5 +122,75 @@ func TestAnnotate(t *testing.T) {
 	rep.annotate()
 	if rep.GoMaxProcs < 1 || rep.NumCPU < 1 {
 		t.Fatalf("host parallelism not recorded: %+v", rep)
+	}
+}
+
+// TestMannWhitneyHandComputed checks U and p against a hand computation
+// with a three-way tie. Pooled ranks of xs = {1, 2, 3, 3, 5} and
+// ys = {3, 4, 6, 7, 8}: the 3s share rank 4, so R_x = 1+2+4+4+7 = 18
+// and U = 18 - 5*6/2 = 3. With mu = 12.5 and the tie term 3^3-3 = 24,
+// var = 25/12 * (11 - 24/90) = 22.3611, z = -9.5/4.72875 = -2.00899
+// and p = erfc(|z|/sqrt 2) = 0.044539.
+func TestMannWhitneyHandComputed(t *testing.T) {
+	xs := []float64{3, 1, 5, 2, 3}
+	ys := []float64{7, 3, 8, 4, 6}
+	u, p := mannWhitney(xs, ys)
+	if u != 3 {
+		t.Fatalf("U = %v, want 3", u)
+	}
+	if math.Abs(p-0.0445386) > 1e-6 {
+		t.Fatalf("p = %v, want 0.0445386", p)
+	}
+	// Two-sided: swapping the sides mirrors U and keeps p.
+	u2, p2 := mannWhitney(ys, xs)
+	if u2 != 22 || math.Abs(p2-p) > 1e-12 {
+		t.Fatalf("swapped: U = %v p = %v, want 22 and %v", u2, p2, p)
+	}
+	// Every sample tied (a deterministic metric): nothing separates the
+	// sides.
+	if _, p := mannWhitney([]float64{7, 7, 7, 7, 7}, []float64{7, 7, 7, 7, 7}); p != 1 {
+		t.Fatalf("all-tied p = %v, want 1", p)
+	}
+}
+
+// TestCompareSignificance: raw samples survive parsing in run order,
+// and compare prints a p-value only when both sides have minSamples.
+func TestCompareSignificance(t *testing.T) {
+	run := func(ns ...string) Report {
+		var b strings.Builder
+		for _, v := range ns {
+			b.WriteString("BenchmarkSimulatorThroughput-2 \t 5 \t " + v + " ns/op\t 71364 simNs/op\n")
+		}
+		rep, err := parse(strings.NewReader(b.String()), io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	base := run("100", "104", "98", "101", "99")
+	cur := run("90", "91", "89", "93", "92")
+	got := cur.Benchmarks["BenchmarkSimulatorThroughput"].Samples["ns/op"]
+	if !slices.Equal(got, []float64{90, 91, 89, 93, 92}) {
+		t.Fatalf("samples = %v, want run order", got)
+	}
+	var out strings.Builder
+	if n := compare(base, cur, 0.10, nil, &out); n != 0 {
+		t.Fatalf("an improvement failed the gate (%d failures)", n)
+	}
+	// Complete separation of 5 vs 5: U = 25, z = 12.5/sqrt(275/12).
+	if !strings.Contains(out.String(), "p=0.009") {
+		t.Fatalf("no p-value for 5 vs 5 samples:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "simNs/op") || strings.Count(out.String(), "p=1.000") != 1 {
+		t.Fatalf("a constant metric should read p=1.000:\n%s", out.String())
+	}
+	out.Reset()
+	compare(run("100", "104", "98"), cur, 0.10, nil, &out)
+	if strings.Contains(out.String(), "p=") {
+		t.Fatalf("p-value printed with 3 baseline samples:\n%s", out.String())
+	}
+	one := run("100")
+	if s := one.Benchmarks["BenchmarkSimulatorThroughput"].Samples; s != nil {
+		t.Fatalf("a single run keeps samples %v", s)
 	}
 }

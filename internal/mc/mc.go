@@ -198,6 +198,11 @@ type Controller struct {
 	// costs one rebuilding scan, mirroring the nextAt staleness rule.
 	sleepMask uint64
 	sleepMin  int64
+	// idle holds the banks whose nextAt is never. No pass can make them
+	// due, so a rebuild keeps them asleep and out of the scan; only a
+	// non-neutral Enqueue clears a bit.
+	idle       uint64
+	bankVisits int64 // banks scanned by demand passes (BankVisits)
 
 	freeReq []*Request // recycled pooled requests
 
@@ -337,6 +342,10 @@ func New(eng *event.Engine, dev *dram.Device, cfg Config) (*Controller, error) {
 // Stats returns a copy of the controller counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
+// BankVisits returns how many banks demand-mode scheduler passes have
+// scanned: a benchmark work count, kept off Stats so results stay put.
+func (c *Controller) BankVisits() int64 { return c.bankVisits }
+
 // Latency returns the read-latency distribution (arrive to data
 // completion).
 func (c *Controller) Latency() stats.Summary { return c.latency.Snapshot() }
@@ -382,6 +391,7 @@ func (c *Controller) Enqueue(r *Request) {
 	if !neutral {
 		c.nextAt[r.Bank] = 0 // new work: the cached wake time no longer holds
 		c.sleepMask &^= 1 << uint(r.Bank)
+		c.idle &^= 1 << uint(r.Bank)
 		c.wake(now)
 	}
 	if r.pooled {
@@ -611,9 +621,12 @@ func (c *Controller) issueReady(now int64) bool {
 			c.consider(now, c.sleepMin)
 		}
 	} else {
-		// A sleeping bank has come due; rebuild the set below.
-		c.sleepMask, c.sleepMin = 0, never
+		// A sleeping bank has come due; rebuild the set below, keeping
+		// the idle banks, which cannot be due.
+		c.sleepMask, c.sleepMin = c.idle, never
+		scan &^= c.idle
 	}
+	c.bankVisits += int64(bits.OnesCount64(scan))
 	for m := scan; m != 0; m &= m - 1 {
 		bank := bits.TrailingZeros64(m)
 		if at := c.nextAt[bank]; at > now {
@@ -638,6 +651,7 @@ func (c *Controller) issueReady(now int64) bool {
 			c.consider(now, c.bankCand)
 		} else {
 			c.nextAt[bank] = never
+			c.idle |= 1 << uint(bank)
 		}
 	}
 	return false

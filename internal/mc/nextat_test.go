@@ -15,9 +15,9 @@ import (
 // externally visible service behaviour.
 
 // TestNextAtEnqueueResetsCache: a drained bank parks its cache at Never
-// (no command without new work); Enqueue must reset the entry to 0
-// (unknown) so the next pass rescans the bank instead of skipping it
-// forever.
+// (no command without new work) and joins the idle set; Enqueue must
+// reset the entry to 0 (unknown) and take the bank out of the idle set
+// so the next pass rescans the bank instead of skipping it forever.
 func TestNextAtEnqueueResetsCache(t *testing.T) {
 	r := newRig(t, Config{Timing: timing.DDR5()}, dram.Config{})
 	done := r.read(0, 5, 0)
@@ -30,9 +30,15 @@ func TestNextAtEnqueueResetsCache(t *testing.T) {
 	if got := r.c.nextAt[0]; got != never {
 		t.Fatalf("drained bank nextAt = %d, want Never", got)
 	}
+	if r.c.idle&1 == 0 {
+		t.Fatalf("drained bank missing from the idle set %#x", r.c.idle)
+	}
 	d2 := r.read(0, 5, 1)
 	if got := r.c.nextAt[0]; got != 0 {
 		t.Fatalf("nextAt after Enqueue = %d, want 0 (unknown)", got)
+	}
+	if r.c.idle&1 != 0 {
+		t.Fatalf("bank still in the idle set %#x after Enqueue", r.c.idle)
 	}
 	r.run(400)
 	// Row hit on the still-open row: served promptly, not starved.
