@@ -18,14 +18,15 @@ race:
 
 # The benchmarks BENCH_baseline.json tracks: end-to-end simulator
 # throughput (ns/op, simNs/op, events/op, bankVisits/op, allocs/op),
-# the controller layer alone (ControllerReplay: cmds/op, bankVisits/op)
-# and the event-engine hot paths. -benchtime=5x pins
-# SimulatorThroughput to seeds 1-5 so its simNs/op, events/op and
-# bankVisits/op metrics are exactly reproducible run to run; the other
+# one cold attack search (AttackSearch: searchSimNs/op, evals/op), the
+# controller layer alone (ControllerReplay: cmds/op, bankVisits/op) and
+# the event-engine hot paths. -benchtime=5x pins SimulatorThroughput,
+# HammerThroughput and AttackSearch to seeds 1-5 so their simulated
+# and counted metrics are exactly reproducible run to run; the other
 # benchmarks use a fixed iteration count. mopac-bench keeps the median
 # of the -count runs and the runs themselves: with five a side,
 # bench-check prints a Mann-Whitney p-value beside each delta.
-BENCH_RUN = ( $(GO) test -run='^$$' -bench='SimulatorThroughput|HammerThroughput' \
+BENCH_RUN = ( $(GO) test -run='^$$' -bench='SimulatorThroughput|HammerThroughput|AttackSearch' \
 		-benchmem -benchtime=5x -count=5 . && \
 	$(GO) test -run='^$$' -bench='ControllerReplay' \
 		-benchmem -benchtime=10x -count=5 ./internal/mc/ && \

@@ -9,6 +9,7 @@ package mopac
 import (
 	"testing"
 
+	"mopac/internal/attack"
 	"mopac/internal/mitigation"
 	"mopac/internal/security"
 	"mopac/internal/sim"
@@ -362,6 +363,37 @@ func BenchmarkHammerThroughput(b *testing.B) {
 	b.ReportMetric(float64(simNs)/float64(b.N), "hammerNs/op")
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 	b.ReportMetric(float64(visits)/float64(b.N), "bankVisits/op")
+}
+
+// BenchmarkAttackSearch measures what a mopac-attack search costs: one
+// cold search per op (MoPAC-D, TRH 500, seed i+1, budget 16, two
+// workers, no store), i.e. 17 oracle-on hammer runs behind the
+// planner. searchSimNs/op, the simulated time of the evaluations
+// summed, and evals/op are deterministic per seed, so the regression
+// gate can pin them beside the wall-clock ns/op.
+func BenchmarkAttackSearch(b *testing.B) {
+	b.ReportAllocs()
+	var simNs int64
+	var evals int
+	for i := 0; i < b.N; i++ {
+		seed := uint64(i + 1)
+		rep, _, err := attack.Search(attack.Options{
+			Base: Config{Design: MoPACD, TRH: 500, Seed: seed},
+			Seed: seed, Budget: 16, Workers: 2,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, e := range append([]attack.Eval{rep.Baseline}, rep.Evals...) {
+			if e.Err != "" {
+				b.Fatalf("evaluation %d (%s): %s", e.Index, e.Spec, e.Err)
+			}
+			simNs += e.Result.TimeNs
+			evals++
+		}
+	}
+	b.ReportMetric(float64(simNs)/float64(b.N), "searchSimNs/op")
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 }
 
 // bankVisits sums the banks the system's scheduler passes scanned: the

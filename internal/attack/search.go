@@ -154,6 +154,8 @@ func Search(opt Options) (*Report, sim.PlanStats, error) {
 	if opt.Store != nil {
 		planner.SetAttackStore(opt.Store)
 	}
+	// evalBatch declares specs, flushes them as one planner batch and
+	// scores them in declaration order, indexed from startIdx.
 	evalBatch := func(startIdx int, specs []workload.AttackSpec) ([]Eval, error) {
 		cfgs := make([]sim.AttackConfig, len(specs))
 		for i, s := range specs {
@@ -176,22 +178,12 @@ func Search(opt Options) (*Report, sim.PlanStats, error) {
 				e.Escaped = !res.Secure
 			}
 			out[i] = e
-			if opt.Progress != nil {
-				opt.Progress(e)
-			}
 		}
 		return out, nil
 	}
-
-	// The stock baseline first: the search's report is an indictment
-	// only relative to what the fixed verification pattern achieves.
-	blEvals, err := evalBatch(-1, []workload.AttackSpec{BaselineSpec()})
-	if err != nil {
-		return nil, planner.Stats(), err
-	}
-	baseline := blEvals[0]
-	if baseline.Err != "" {
-		return nil, planner.Stats(), fmt.Errorf("attack: baseline evaluation failed: %s", baseline.Err)
+	progress := opt.Progress
+	if progress == nil {
+		progress = func(Eval) {}
 	}
 
 	rng := rand.New(rand.NewPCG(opt.Seed, 0x6d6f706163)) // "mopac"
@@ -199,7 +191,6 @@ func Search(opt Options) (*Report, sim.PlanStats, error) {
 		Schema: ReportSchema, Design: base.Design.String(), TRH: base.TRH,
 		Seed: opt.Seed, Budget: opt.Budget, Batch: opt.Batch,
 		TargetActs: opt.TargetActs,
-		Baseline:   baseline,
 	}
 	best := Eval{Score: -1}
 	// The first half of the budget explores at random; the second half
@@ -210,7 +201,16 @@ func Search(opt Options) (*Report, sim.PlanStats, error) {
 		if n > opt.Batch {
 			n = opt.Batch
 		}
-		specs := make([]workload.AttackSpec, 0, n)
+		specs := make([]workload.AttackSpec, 0, n+1)
+		start := len(report.Evals)
+		if start == 0 {
+			// The stock baseline rides in the first batch, at index -1:
+			// the search's report is an indictment only relative to what
+			// the fixed verification pattern achieves. The first batch
+			// is random, so no candidate depends on its score.
+			specs = append(specs, BaselineSpec())
+			start = -1
+		}
 		for i := 0; i < n; i++ {
 			if len(report.Evals)+i < explore || best.Score < 0 {
 				specs = append(specs, randomSpec(rng, geo))
@@ -218,11 +218,19 @@ func Search(opt Options) (*Report, sim.PlanStats, error) {
 				specs = append(specs, mutate(rng, geo, best.Knobs))
 			}
 		}
-		batch, err := evalBatch(len(report.Evals), specs)
+		batch, err := evalBatch(start, specs)
 		if err != nil {
 			return nil, planner.Stats(), err
 		}
+		if start < 0 {
+			report.Baseline, batch = batch[0], batch[1:]
+			progress(report.Baseline)
+			if report.Baseline.Err != "" {
+				return nil, planner.Stats(), fmt.Errorf("attack: baseline evaluation failed: %s", report.Baseline.Err)
+			}
+		}
 		for _, e := range batch {
+			progress(e)
 			report.Evals = append(report.Evals, e)
 			if e.Err == "" && e.Score > best.Score {
 				best = e
@@ -233,7 +241,7 @@ func Search(opt Options) (*Report, sim.PlanStats, error) {
 		}
 	}
 	report.Best = best
-	report.Improvement = best.Score - baseline.Score
+	report.Improvement = best.Score - report.Baseline.Score
 	return report, planner.Stats(), nil
 }
 

@@ -14,10 +14,10 @@
 // boxing), the priority queue is an index-based 4-ary heap (shallower
 // than a binary heap, so fewer cache-missing compares per pop), and the
 // pre-bound Func form lets hot callers schedule a static function plus a
-// receiver and an int64 payload without allocating a closure. Cancelled
-// events are dropped lazily on pop and compacted wholesale when they
-// outnumber live ones, so cancel-heavy workloads (controller wake
-// coalescing, core wake-ups) do not bloat the queue. Modelled
+// receiver and an int64 payload without allocating a closure. Each slot
+// records its heap position, so Cancel takes its entry out of the heap at
+// once: cancel-heavy workloads (controller wake coalescing, core
+// wake-ups) leave no dead entries to deepen sifts or pop. Modelled
 // fixed-latency hops bypass the heap entirely: each source sends on its
 // own FIFO Link, whose entries already arrive in order (see link.go).
 package event
@@ -39,12 +39,15 @@ func callHandler(ctx any, _ int64) { ctx.(Handler)() }
 // item is one pooled event slot. Slots are reused through the free list;
 // gen increments on every release so stale Tokens cannot touch a reused
 // slot. The ordering keys live in the heap entries, not here, so heap
-// compares never chase an index into the pool.
+// compares never chase an index into the pool. pos is the slot's heap
+// index, kept up to date by every sift, or -1 while it waits in the
+// now-queue.
 type item struct {
 	arg int64
 	fn  Func
 	ctx any
 	gen uint32
+	pos int32
 }
 
 // idxBits is the key space reserved for the pool-slot index: up to ~1M
@@ -97,20 +100,16 @@ func (e *Engine) cancelToken(idx int32, gen uint32) {
 	if it.gen != gen || it.fn == nil {
 		return
 	}
-	it.fn, it.ctx = nil, nil
 	e.live--
-	e.dead++
-	// Lazy compaction: when cancelled events dominate the queue, sweep
-	// them out in one pass so cancel-heavy runs stay O(live) rather than
-	// O(scheduled).
-	if e.dead > compactMinDead && e.dead*2 > len(e.heap) {
-		e.compact()
+	if it.pos < 0 {
+		// The now-queue drains before the clock moves, so a cancelled
+		// entry there just waits for peekLive to drop it.
+		it.fn, it.ctx = nil, nil
+		return
 	}
+	e.remove(int(it.pos))
+	e.release(idx)
 }
-
-// compactMinDead is the dead-event count below which compaction is never
-// worth the sweep.
-const compactMinDead = 64
 
 // arity is the heap fan-out. A 4-ary heap halves the tree depth of a
 // binary heap: pops do more compares per level but touch fewer cache
@@ -128,7 +127,6 @@ type Engine struct {
 	seq   uint64
 	fire  uint64
 	live  int // scheduled or sent, not cancelled, not fired
-	dead  int // cancelled but still occupying a heap entry
 
 	// nowQ holds events scheduled at the current instant — the
 	// wake-at-now pattern the controllers lean on — as a plain FIFO
@@ -154,7 +152,7 @@ func (e *Engine) Now() int64 { return e.now }
 func (e *Engine) Fired() uint64 { return e.fire }
 
 // Pending returns the number of events and link hops still to fire.
-// Cancelled events are excluded even while they await compaction.
+// Cancelled events are excluded at once.
 func (e *Engine) Pending() int { return e.live }
 
 // alloc pops a free slot or grows the pool.
@@ -216,6 +214,7 @@ func (e *Engine) schedule(t int64, fn Func, ctx any, arg int64) Token {
 	ent := heapEntry{at: t, key: e.nextKey() | uint64(idx)}
 	e.live++
 	if t == e.now {
+		it.pos = -1
 		if e.nowHead == len(e.nowQ) {
 			e.nowQ = e.nowQ[:0]
 			e.nowHead = 0
@@ -236,8 +235,8 @@ const (
 	fromLink
 )
 
-// peekLive prunes cancelled entries off the queue fronts and returns
-// the next live entry in (at, seq) order plus which structure
+// peekLive prunes cancelled entries off the now-queue's front and
+// returns the next live entry in (at, seq) order plus which structure
 // holds it; fromNone when the engine is drained. Each structure is
 // sorted by that order, so comparing the heads merges them exactly.
 func (e *Engine) peekLive() (heapEntry, int) {
@@ -248,16 +247,6 @@ func (e *Engine) peekLive() (heapEntry, int) {
 		}
 		e.nowHead++
 		e.release(ent.idx())
-		e.dead--
-	}
-	for len(e.heap) > 0 {
-		ent := e.heap[0]
-		if e.items[ent.idx()].fn != nil {
-			break
-		}
-		e.popRoot()
-		e.release(ent.idx())
-		e.dead--
 	}
 	best, from := heapEntry{}, fromNone
 	if e.nowHead < len(e.nowQ) {
@@ -291,7 +280,7 @@ func (e *Engine) pop(ent heapEntry, from int) (Func, any, int64) {
 			e.nowHead = 0
 		}
 	default:
-		e.popRoot()
+		e.remove(0)
 	}
 	it := &e.items[ent.idx()]
 	fn, ctx, arg := it.fn, it.ctx, it.arg
@@ -304,8 +293,10 @@ func (e *Engine) AfterFunc(d int64, fn Func, ctx any, arg int64) Token {
 	return e.AtFunc(e.now+d, fn, ctx, arg)
 }
 
+// siftUp and siftDown move entry i into place, storing every moved
+// entry's new index in its slot's pos.
 func (e *Engine) siftUp(i int) {
-	h := e.heap
+	h, items := e.heap, e.items
 	ent := h[i]
 	for i > 0 {
 		p := (i - 1) / arity
@@ -313,13 +304,15 @@ func (e *Engine) siftUp(i int) {
 			break
 		}
 		h[i] = h[p]
+		items[h[i].idx()].pos = int32(i)
 		i = p
 	}
 	h[i] = ent
+	items[ent.idx()].pos = int32(i)
 }
 
 func (e *Engine) siftDown(i int) {
-	h := e.heap
+	h, items := e.heap, e.items
 	n := len(h)
 	ent := h[i]
 	for {
@@ -341,51 +334,27 @@ func (e *Engine) siftDown(i int) {
 			break
 		}
 		h[i] = h[m]
+		items[h[i].idx()].pos = int32(i)
 		i = m
 	}
 	h[i] = ent
+	items[ent.idx()].pos = int32(i)
 }
 
-// popRoot removes the minimum heap entry.
-func (e *Engine) popRoot() {
+// remove takes entry i out of the heap: the last entry fills the hole
+// and sifts whichever way restores the heap property.
+func (e *Engine) remove(i int) {
 	h := e.heap
 	n := len(h) - 1
-	h[0] = h[n]
 	e.heap = h[:n]
-	if n > 1 {
-		e.siftDown(0)
+	if i == n {
+		return
 	}
-}
-
-// compact sweeps cancelled entries out of the heap and the now-queue
-// in one pass and re-establishes the heap property bottom-up.
-func (e *Engine) compact() {
-	w := 0
-	for _, ent := range e.heap {
-		if e.items[ent.idx()].fn != nil {
-			e.heap[w] = ent
-			w++
-		} else {
-			e.release(ent.idx())
-		}
-	}
-	e.heap = e.heap[:w]
-	q := 0
-	for _, ent := range e.nowQ[e.nowHead:] {
-		if e.items[ent.idx()].fn != nil {
-			e.nowQ[q] = ent
-			q++
-		} else {
-			e.release(ent.idx())
-		}
-	}
-	e.nowQ = e.nowQ[:q]
-	e.nowHead = 0
-	e.dead = 0
-	if w > 1 {
-		for i := (w - 2) / arity; i >= 0; i-- {
-			e.siftDown(i)
-		}
+	h[i] = h[n]
+	if i > 0 && h[i].before(h[(i-1)/arity]) {
+		e.siftUp(i)
+	} else {
+		e.siftDown(i)
 	}
 }
 

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -165,11 +166,11 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	}
 }
 
-// TestCancelHeavyPendingAndCompaction drives the cancel path hard:
-// Pending must exclude cancelled events immediately, the lazy sweep must
-// shrink the heap once dead entries dominate, and the survivors must
-// still fire in order.
-func TestCancelHeavyPendingAndCompaction(t *testing.T) {
+// TestCancelHeavyPendingAndRemoval drives the cancel path hard: Pending
+// must exclude cancelled events immediately, every cancel must take its
+// entry out of the heap at once, and the survivors must still fire in
+// order.
+func TestCancelHeavyPendingAndRemoval(t *testing.T) {
 	e := NewEngine()
 	const n = 1000
 	toks := make([]Token, 0, n)
@@ -193,12 +194,11 @@ func TestCancelHeavyPendingAndCompaction(t *testing.T) {
 	if got := e.Pending(); got != live {
 		t.Fatalf("Pending after cancels = %d, want %d", got, live)
 	}
-	// 900 dead of 1000 entries crosses the sweep threshold: compaction
-	// must have run, leaving at most the live events plus a sub-threshold
-	// tail of dead ones.
-	if len(e.heap) > live+compactMinDead || e.dead > compactMinDead {
-		t.Fatalf("heap len = %d dead = %d after mass cancel; compaction never ran (live = %d)",
-			len(e.heap), e.dead, live)
+	if len(e.heap) != live {
+		t.Fatalf("heap len = %d after mass cancel, want the %d live events", len(e.heap), live)
+	}
+	if err := heapInvariant(e); err != nil {
+		t.Fatal(err)
 	}
 	// Double-cancel is a no-op.
 	toks[1].Cancel()
@@ -344,6 +344,25 @@ func TestLinkPushOutOfOrderPanics(t *testing.T) {
 	mustPanic("send now behind a deferred hop", func() { l.Send(nop, nil, 0) })
 }
 
+// heapInvariant checks the indexed heap: it holds only live entries,
+// keeps the heap property, and every slot's pos points back at its
+// entry.
+func heapInvariant(e *Engine) error {
+	for i, ent := range e.heap {
+		it := &e.items[ent.idx()]
+		if it.fn == nil {
+			return fmt.Errorf("heap[%d] holds a dead entry", i)
+		}
+		if int(it.pos) != i {
+			return fmt.Errorf("heap[%d]'s slot %d records pos %d", i, ent.idx(), it.pos)
+		}
+		if i > 0 && ent.before(e.heap[(i-1)/arity]) {
+			return fmt.Errorf("heap[%d] sorts before its parent", i)
+		}
+	}
+	return nil
+}
+
 // refEvent is one pending entry of the reference model: the engine's
 // documented total order is (at, seq), with seq taken when an event is
 // scheduled or a hop is sent.
@@ -366,7 +385,8 @@ func (a refEvent) less(b refEvent) bool {
 // different latencies so that landings collide with each other and
 // with local events. Every handler checks that it is the minimum
 // of a naive sorted-list model of the pending set, then schedules more
-// work on both the engine and the model.
+// work on both the engine and the model. After every schedule, send,
+// cancel and fire the heap must satisfy heapInvariant.
 func TestEventOrderMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 300; seed++ {
 		checkOrderAgainstReference(t, seed)
@@ -398,6 +418,12 @@ func checkOrderAgainstReference(t *testing.T, seed uint64) {
 	)
 	const budget = 400
 	var handler Func
+	check := func(op string) {
+		if err := heapInvariant(e); err != nil && !failed {
+			failed = true
+			t.Errorf("seed %d: after %s at %d: %v", seed, op, e.Now(), err)
+		}
+	}
 	act := func() {
 		now := e.Now()
 		for k := rng.IntN(4); k > 0; k-- {
@@ -409,6 +435,7 @@ func checkOrderAgainstReference(t *testing.T, seed uint64) {
 				at := now + int64(rng.IntN(4)) // rng 0: at-now, the now-queue path
 				locals = append(locals, local{id, e.AtFunc(at, handler, nil, id)})
 				ref = append(ref, refEvent{at: at, seq: seq, id: id})
+				check("schedule")
 			case r < 8:
 				i := rng.IntN(len(links))
 				depart := max(now, lastDepart[i])
@@ -422,6 +449,7 @@ func checkOrderAgainstReference(t *testing.T, seed uint64) {
 				}
 				lastDepart[i] = depart
 				ref = append(ref, refEvent{at: depart + lats[i], seq: seq, id: id})
+				check("send")
 			default:
 				if len(locals) == 0 {
 					continue
@@ -431,10 +459,12 @@ func checkOrderAgainstReference(t *testing.T, seed uint64) {
 				v := locals[rng.IntN(len(locals))]
 				v.tok.Cancel()
 				ref = slices.DeleteFunc(ref, func(r refEvent) bool { return r.id == v.id })
+				check("cancel")
 			}
 		}
 	}
 	handler = func(_ any, arg int64) {
+		check("fire")
 		if failed {
 			return
 		}
