@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet bench bench-all bench-check race fuzz experiments analyze examples clean serve fleet-demo
+.PHONY: build test vet bench bench-all bench-check race fuzz experiments analyze examples clean serve
 
 build:
 	$(GO) build ./...
@@ -69,17 +69,6 @@ analyze:
 
 serve:
 	$(GO) run ./cmd/mopac-serve
-
-# A throwaway localhost fleet (1 coordinator + 2 workers) under herd
-# load; Ctrl-C tears it down. CI runs the assertive version of this
-# as the fleet-smoke job.
-fleet-demo:
-	$(GO) build -o /tmp/mopac-fleet-bin/ ./cmd/mopac-serve ./cmd/mopac-loadgen
-	@/tmp/mopac-fleet-bin/mopac-serve -role coordinator -addr :8080 -store /tmp/mopac-fleet-store & C=$$!; \
-	/tmp/mopac-fleet-bin/mopac-serve -role worker -addr :8091 -coordinator http://localhost:8080 & W1=$$!; \
-	/tmp/mopac-fleet-bin/mopac-serve -role worker -addr :8092 -coordinator http://localhost:8080 & W2=$$!; \
-	sleep 2; /tmp/mopac-fleet-bin/mopac-loadgen -target http://localhost:8080 -shape herd -duration 10s; \
-	kill $$W1 $$W2; sleep 1; kill $$C 2>/dev/null || true
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -8,9 +8,9 @@
 //	mopac-batch -c runs.json -f csv -o out.csv
 //
 // With -server the batch executes remotely: each run is submitted to a
-// mopac-serve endpoint (standalone or fleet coordinator) as a
-// synchronous job, honoring 429 backpressure via Retry-After, and the
-// table is rendered from the returned result summaries.
+// mopac-serve endpoint as a synchronous job (POST /v1/jobs?wait=1),
+// honoring 429 backpressure via Retry-After, and the table is rendered
+// from the returned result summaries.
 //
 //	mopac-batch -c runs.json -server http://localhost:8080
 package main
@@ -51,7 +51,6 @@ func main() {
 		list     = flag.Bool("list-designs", false, "list the registered design names and exit")
 		version  = flag.Bool("version", false, "print build information and exit")
 		server   = flag.String("server", "", "run the batch remotely against this mopac-serve base URL")
-		tenant   = flag.String("tenant", "", "X-Tenant header for -server submissions")
 	)
 	flag.Parse()
 	if *version {
@@ -106,7 +105,7 @@ func main() {
 	}
 
 	if *server != "" {
-		if err := runRemote(w, fm, *path, *server, *tenant, *jobs, exps); err != nil {
+		if err := runRemote(w, fm, *path, *server, *jobs, exps); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -225,7 +224,7 @@ func main() {
 
 // submitWait posts one job synchronously, sleeping out 429 Retry-After
 // hints (clamped to a minute, bounded attempts) before giving up.
-func submitWait(client *http.Client, server, tenant string, req service.JobRequest) (*sim.ResultSummary, bool, error) {
+func submitWait(client *http.Client, server string, req service.JobRequest) (*sim.ResultSummary, bool, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, false, err
@@ -233,15 +232,7 @@ func submitWait(client *http.Client, server, tenant string, req service.JobReque
 	url := strings.TrimSuffix(server, "/") + "/v1/jobs?wait=1"
 	const maxAttempts = 10
 	for attempt := 1; ; attempt++ {
-		hr, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return nil, false, err
-		}
-		hr.Header.Set("Content-Type", "application/json")
-		if tenant != "" {
-			hr.Header.Set("X-Tenant", tenant)
-		}
-		resp, err := client.Do(hr)
+		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 		if err != nil {
 			return nil, false, err
 		}
@@ -266,18 +257,9 @@ func submitWait(client *http.Client, server, tenant string, req service.JobReque
 			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 			return nil, false, fmt.Errorf("server status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 		}
-		// A standalone server answers with a flat JobStatus; a fleet
-		// coordinator wraps the worker's status in a JobView under "job".
-		var wire struct {
-			service.JobStatus
-			Job *service.JobStatus `json:"job"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+		var status service.JobStatus
+		if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 			return nil, false, err
-		}
-		status := wire.JobStatus
-		if wire.Job != nil {
-			status = *wire.Job
 		}
 		if status.State != service.StateDone || status.Result == nil {
 			return nil, false, fmt.Errorf("job %s ended %s: %s", status.ID, status.State, status.Error)
@@ -289,7 +271,7 @@ func submitWait(client *http.Client, server, tenant string, req service.JobReque
 // runRemote executes the batch against a mopac-serve endpoint and
 // renders the same table shape as the local path, sourced from result
 // summaries instead of full results.
-func runRemote(w io.Writer, fm report.Format, path, server, tenant string, jobs int, exps []config.Expansion) error {
+func runRemote(w io.Writer, fm report.Format, path, server string, jobs int, exps []config.Expansion) error {
 	type outcome struct {
 		sum      *sim.ResultSummary
 		cacheHit bool
@@ -312,7 +294,7 @@ func runRemote(w io.Writer, fm report.Format, path, server, tenant string, jobs 
 			Knobs:    e.Knobs,
 		}
 		start := time.Now()
-		sum, hit, err := submitWait(client, server, tenant, req)
+		sum, hit, err := submitWait(client, server, req)
 		if err != nil {
 			results[i] = outcome{err: err}
 			return

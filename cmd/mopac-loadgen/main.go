@@ -1,10 +1,10 @@
 // Command mopac-loadgen replays synthetic arrival shapes against a
-// mopac-serve endpoint (standalone or fleet coordinator) and reports
-// what the service did under that load: latency quantiles, 429
-// backpressure rate, lost jobs, and the target's cache counters.
+// mopac-serve endpoint and reports what the service did under that
+// load: latency quantiles, 429 backpressure rate, lost jobs, and the
+// target's cache counters.
 //
 //	mopac-loadgen -target http://localhost:8080 -shape poisson -rate 20 -duration 15s
-//	mopac-loadgen -target http://localhost:8080 -shape herd -tenants 4
+//	mopac-loadgen -target http://localhost:8080 -shape herd
 //
 // Shapes:
 //
@@ -17,10 +17,9 @@
 //     result cache; a healthy target serves the herd mostly from one
 //     simulation.
 //
-// Every request is submitted synchronously (POST /v1/jobs?wait=1) with
-// an X-Tenant header drawn round-robin from -tenants synthetic
-// tenants. 429 responses honor Retry-After (clamped to -retry-cap) up
-// to -retries times. The schedule is fully determined by -seed.
+// Every request is submitted synchronously (POST /v1/jobs?wait=1).
+// 429 responses honor Retry-After (clamped to -retry-cap) up to
+// -retries times. The schedule is fully determined by -seed.
 //
 // Exit status is nonzero if any job was lost — submitted but never
 // brought to a terminal state (connection errors, retry exhaustion,
@@ -52,11 +51,10 @@ import (
 
 func main() {
 	var (
-		target    = flag.String("target", "http://localhost:8080", "mopac-serve base URL (standalone or coordinator)")
+		target    = flag.String("target", "http://localhost:8080", "mopac-serve base URL")
 		shape     = flag.String("shape", "poisson", "arrival shape: poisson | diurnal | herd")
 		rate      = flag.Float64("rate", 10, "mean arrival rate, jobs/sec")
 		duration  = flag.Duration("duration", 10*time.Second, "length of the generated schedule")
-		tenants   = flag.Int("tenants", 1, "synthetic tenants cycling through X-Tenant")
 		designs   = flag.String("designs", "baseline,mopac-d", "comma-separated designs to draw configs from")
 		workloads = flag.String("workloads", "lbm", "comma-separated workloads to draw configs from")
 		seeds     = flag.Int("seeds", 8, "distinct config seeds (smaller = hotter cache)")
@@ -73,7 +71,7 @@ func main() {
 	plan, err := buildSchedule(scheduleParams{
 		shape: *shape, rate: *rate, duration: *duration, seed: *seed,
 		designs: splitList(*designs), workloads: splitList(*workloads),
-		seeds: *seeds, instr: *instr, herd: *herdSize, tenants: *tenants,
+		seeds: *seeds, instr: *instr, herd: *herdSize,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mopac-loadgen:", err)
@@ -92,9 +90,8 @@ func main() {
 
 // request is one scheduled arrival.
 type request struct {
-	at     time.Duration // offset from run start
-	tenant string
-	body   []byte
+	at   time.Duration // offset from run start
+	body []byte
 }
 
 type scheduleParams struct {
@@ -106,11 +103,10 @@ type scheduleParams struct {
 	seeds              int
 	instr              int64
 	herd               int
-	tenants            int
 }
 
 // buildSchedule produces the deterministic arrival plan. Everything —
-// times, config draws, tenant assignment — comes from one seeded RNG,
+// arrival times and config draws — comes from one seeded RNG,
 // so a re-run replays byte-identical requests at the same offsets.
 func buildSchedule(p scheduleParams) ([]request, error) {
 	if p.rate <= 0 || p.duration <= 0 {
@@ -118,9 +114,6 @@ func buildSchedule(p scheduleParams) ([]request, error) {
 	}
 	if len(p.designs) == 0 || len(p.workloads) == 0 || p.seeds <= 0 {
 		return nil, fmt.Errorf("need at least one design, workload, and seed")
-	}
-	if p.tenants <= 0 {
-		p.tenants = 1
 	}
 	rng := rand.New(rand.NewSource(p.seed))
 
@@ -159,22 +152,14 @@ func buildSchedule(p scheduleParams) ([]request, error) {
 	}
 
 	plan := make([]request, 0, len(arrivals)+p.herd)
-	for i, t := range arrivals {
-		plan = append(plan, request{
-			at:     t,
-			tenant: fmt.Sprintf("tenant-%d", i%p.tenants),
-			body:   job(),
-		})
+	for _, t := range arrivals {
+		plan = append(plan, request{at: t, body: job()})
 	}
 	if p.shape == "herd" {
 		// One hot config, p.herd clients, zero stagger.
 		hot := job()
-		for i := 0; i < p.herd; i++ {
-			plan = append(plan, request{
-				at:     p.duration / 2,
-				tenant: fmt.Sprintf("tenant-%d", i%p.tenants),
-				body:   hot,
-			})
+		for range p.herd {
+			plan = append(plan, request{at: p.duration / 2, body: hot})
 		}
 		sort.Slice(plan, func(i, j int) bool { return plan[i].at < plan[j].at })
 	}
@@ -249,14 +234,7 @@ func (res *results) one(client *http.Client, target string, r request, retries i
 	url := strings.TrimSuffix(target, "/") + "/v1/jobs?wait=1"
 	begin := time.Now()
 	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(r.body))
-		if err != nil {
-			res.lose(err.Error())
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Tenant", r.tenant)
-		resp, err := client.Do(req)
+		resp, err := client.Post(url, "application/json", bytes.NewReader(r.body))
 		if err != nil {
 			res.lose(err.Error())
 			return
@@ -273,21 +251,11 @@ func (res *results) one(client *http.Client, target string, r request, retries i
 			time.Sleep(wait)
 			continue
 		}
-		// A standalone server answers with a flat JobStatus; a fleet
-		// coordinator wraps the worker's status in a JobView under "job".
-		var wire struct {
-			service.JobStatus
-			Job *service.JobStatus `json:"job"`
-		}
-		raw, readErr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		var status service.JobStatus
+		raw, decodeErr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
-		decodeErr := readErr
 		if decodeErr == nil {
-			decodeErr = json.Unmarshal(raw, &wire)
-		}
-		status := wire.JobStatus
-		if wire.Job != nil {
-			status = *wire.Job
+			decodeErr = json.Unmarshal(raw, &status)
 		}
 		lat := time.Since(begin)
 		switch {
@@ -357,9 +325,9 @@ func (res *results) report(w io.Writer, target string) {
 	}
 }
 
-// scrapeMetrics pulls the target's cache and fleet counters so the
-// run's server-side story (hit rate, failovers, quota rejections)
-// lands in the same report as the client-side latency.
+// scrapeMetrics pulls the target's cache and rejection counters so
+// the run's server-side story (hit rate, disk hits, 429s) lands in the
+// same report as the client-side latency.
 func scrapeMetrics(target string) []string {
 	resp, err := http.Get(strings.TrimSuffix(target, "/") + "/metrics")
 	if err != nil {
@@ -375,7 +343,7 @@ func scrapeMetrics(target string) []string {
 		if strings.HasPrefix(line, "#") {
 			continue
 		}
-		for _, want := range []string{"mopac_cache_", "mopac_fleet_", "mopac_jobs_rejected_total"} {
+		for _, want := range []string{"mopac_cache_", "mopac_jobs_rejected_total"} {
 			if strings.HasPrefix(line, want) {
 				out = append(out, line)
 				break

@@ -138,9 +138,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // handleSubmit accepts a job, serving identical submissions from the
 // result cache. With ?wait=1 the response is held until the job
-// reaches a terminal state — the synchronous mode the fleet
-// coordinator dispatches through (a broken connection mid-wait is the
-// coordinator's signal to fail the job over).
+// reaches a terminal state: one POST, one terminal answer. That is
+// the mode `mopac-batch -server` and `mopac-loadgen` submit through.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	dec := json.NewDecoder(r.Body)

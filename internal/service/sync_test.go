@@ -11,8 +11,9 @@ import (
 	"time"
 )
 
-// TestSubmitWaitReturnsTerminalStatus checks the synchronous mode the
-// fleet coordinator dispatches through: one POST, one terminal answer.
+// TestSubmitWaitReturnsTerminalStatus checks the synchronous mode
+// `mopac-batch -server` and `mopac-loadgen` submit through: one POST,
+// one terminal answer.
 func TestSubmitWaitReturnsTerminalStatus(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2, Queue: 8})
 	body, _ := json.Marshal(fastJob(11))
